@@ -20,7 +20,7 @@ const SEED: u64 = 0xC0FFEE;
 
 fn bench_scenario_step(c: &mut Criterion) {
     let n = 1 << 10;
-    // Both arms run on exactly the graph and engine RNG stream the scenario
+    // Both arms run on exactly the graph and engine draws the scenario
     // executor derives from SEED, so the measured delta is the stepper's
     // bookkeeping, not a workload difference.
     let (graph_seed, run_seed) = scenario_engine_seeds(SEED);

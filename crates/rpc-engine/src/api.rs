@@ -8,10 +8,11 @@
 //! * [`crate::Simulation`] — the packed, word-parallel production engine
 //!   ([`crate::bitset::BitSet`] masks, sparse deltas, allocation-free rounds);
 //! * [`crate::reference::UnpackedSimulation`] — the straightforward
-//!   `Vec<bool>`-and-scans oracle with the *same RNG draw sequence*, kept as
-//!   the correctness reference and benchmark baseline.
+//!   `Vec<bool>`-and-scans oracle with the *same draws*, kept as the
+//!   correctness reference and benchmark baseline.
 //!
-//! Because both engines consume randomness identically, a protocol driven on
+//! Both engines key every draw by `(seed, node, round, j)` through the
+//! [`Metrics`] draw ledger (see [`crate::seeding`]), so a protocol driven on
 //! both with the same graph and seed must produce bit-identical traces; the
 //! `rpc-scenarios` property tests assert exactly that.
 
@@ -21,6 +22,7 @@ use rpc_graphs::{Graph, NodeId};
 
 use crate::message::{MessageId, MessageSet};
 use crate::metrics::Metrics;
+use crate::seeding::NodeDraws;
 use crate::sim::Transfer;
 
 /// The simulation primitives a gossiping algorithm needs — implemented by the
@@ -104,9 +106,9 @@ pub trait Engine {
     fn tracked_informed_count(&self) -> usize;
 
     /// Injects rumor `m` at node `source` immediately; returns whether the
-    /// node newly learned it. Draws nothing from the RNG — callers sample
-    /// sources and timing from their own stream, which keeps both engines in
-    /// RNG lockstep. A TTL-expired rumor is never re-injected.
+    /// node newly learned it. Draws nothing — callers sample sources and
+    /// timing from their own stream, which keeps both engines in draw
+    /// lockstep. A TTL-expired rumor is never re-injected.
     fn inject_rumor(&mut self, source: NodeId, m: MessageId) -> bool;
 
     /// Expires rumor `m`, removing it from every node's combined message;
@@ -192,8 +194,29 @@ pub trait Engine {
     /// round counting).
     fn metrics_mut(&mut self) -> &mut Metrics;
 
-    /// The simulation's random source.
-    fn rng_mut(&mut self) -> &mut SmallRng;
+    /// Node `v`'s draw stream in the current round, positioned after its
+    /// earlier draws in this round — the source of per-node coins (see
+    /// [`crate::seeding`] for the draw contract).
+    fn node_draws(&mut self, v: NodeId) -> &mut NodeDraws {
+        self.metrics_mut().node_draws(v)
+    }
+
+    /// The global draw stream in the current round, for draws that belong
+    /// to no node (the memory model's leader and failure sample).
+    fn global_draws(&mut self) -> &mut NodeDraws {
+        self.metrics_mut().global_draws()
+    }
+
+    /// Engines no longer hold a shared random stream: every draw is keyed
+    /// by node and round ([`Engine::node_draws`], [`Engine::global_draws`]).
+    /// This method survives only so that wrappers written against the
+    /// earlier trait, which forward it, still compile. No engine implements
+    /// it, and calling it panics.
+    fn rng_mut(&mut self) -> &mut SmallRng {
+        panic!(
+            "engines draw from node-keyed streams; use Engine::node_draws or Engine::global_draws"
+        )
+    }
 }
 
 impl Engine for crate::sim::Simulation<'_> {
@@ -325,8 +348,5 @@ impl Engine for crate::sim::Simulation<'_> {
     }
     fn metrics_mut(&mut self) -> &mut Metrics {
         Self::metrics_mut(self)
-    }
-    fn rng_mut(&mut self) -> &mut SmallRng {
-        Self::rng_mut(self)
     }
 }

@@ -18,8 +18,8 @@
 //! * [`api`] — the [`Engine`] trait: the primitive surface algorithms drive,
 //!   implemented by [`Simulation`] and the unpacked oracle;
 //! * [`mod@reference`] — [`reference::UnpackedSimulation`], the pre-optimization
-//!   `Vec<bool>`-and-scans engine with the same RNG draw sequence, kept as
-//!   correctness oracle and benchmark baseline;
+//!   `Vec<bool>`-and-scans engine with the same draws, kept as correctness
+//!   oracle and benchmark baseline;
 //! * [`metrics`] — communication accounting in the two conventions used by
 //!   the paper (per packet and per channel exchange);
 //! * [`walks`] — random-walk tokens and per-node queues (Algorithm 1,
@@ -31,7 +31,9 @@
 //! * [`parallel`] — crossbeam-based parallel computation of sparse per-step
 //!   message deltas (bit-identical to the sequential path);
 //! * [`seeding`] — SplitMix64 seed derivation shared by every replication
-//!   harness, so Monte Carlo results are identical for any thread count.
+//!   harness, so Monte Carlo results are identical for any thread count, and
+//!   the node-keyed draws both engines make: the `j`-th draw of node `v` in
+//!   round `r` is a pure function of `(seed, v, r, j)`.
 //!
 //! Beyond the paper's static model, the simulation supports *dynamic*
 //! scenarios used by the `rpc-scenarios` crate: per-packet message loss
@@ -82,7 +84,7 @@ pub use reference::UnpackedSimulation;
 // Observability counter types, re-exported so engine users need not name
 // `rpc-obs` for plain diagnostics reads (`Metrics::core_rounds` etc.).
 pub use rpc_obs::{CoreRounds, DeliveryCore, DispatchRecord, PoolStats, ReuseStats};
-pub use seeding::{derive_seed, hash_key, splitmix64};
+pub use seeding::{derive_seed, hash_key, node_draws, splitmix64, NodeDraws, GLOBAL_DRAWS};
 pub use sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
 pub use walks::{Walk, WalkQueues};
 
@@ -95,7 +97,7 @@ pub mod prelude {
     pub use crate::message::{MessageId, MessageSet};
     pub use crate::metrics::{Accounting, Metrics};
     pub use crate::reference::UnpackedSimulation;
-    pub use crate::seeding::{derive_seed, hash_key, splitmix64};
+    pub use crate::seeding::{derive_seed, hash_key, node_draws, splitmix64, NodeDraws};
     pub use crate::sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
     pub use crate::walks::{Walk, WalkQueues};
 }

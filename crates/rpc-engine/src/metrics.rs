@@ -36,9 +36,18 @@ pub struct PhaseSnapshot {
     pub channels_opened: u64,
 }
 
+use rpc_graphs::NodeId;
 use rpc_obs::{CoreRounds, DispatchRecord};
 
-/// Per-run communication metrics.
+use crate::seeding::{DrawLedger, NodeDraws};
+
+/// Per-run communication metrics, and the run's draw cursors.
+///
+/// The cursors live here, next to the round counter that keys them, so
+/// that every draw — the engines' partner and loss draws and the protocol
+/// drivers' coins — goes through one set of cursors reachable from any
+/// [`crate::Engine`], wrappers included, through [`crate::Engine::metrics_mut`]
+/// (see [`crate::seeding`] for the draw contract).
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     rounds: u64,
@@ -50,12 +59,25 @@ pub struct Metrics {
     phases: Vec<PhaseSnapshot>,
     core_rounds: CoreRounds,
     last_dispatch: Option<DispatchRecord>,
+    draws: DrawLedger,
 }
 
 impl Metrics {
-    /// Creates metrics for a network of `n` nodes.
+    /// Creates metrics for a network of `n` nodes, with draws keyed by
+    /// engine seed 0.
     pub fn new(n: usize) -> Self {
-        Self { packets_per_node: vec![0; n], exchanges_per_node: vec![0; n], ..Self::default() }
+        Self::seeded(n, 0)
+    }
+
+    /// Creates metrics for a network of `n` nodes whose draws are keyed by
+    /// the engine seed `seed`.
+    pub fn seeded(n: usize, seed: u64) -> Self {
+        Self {
+            packets_per_node: vec![0; n],
+            exchanges_per_node: vec![0; n],
+            draws: DrawLedger::new(seed, n),
+            ..Self::default()
+        }
     }
 
     /// Number of nodes this metric tracks.
@@ -63,9 +85,10 @@ impl Metrics {
         self.packets_per_node.len()
     }
 
-    /// Resets every counter for a fresh run over `n` nodes, reusing the
-    /// per-node allocations — equivalent to `*self = Metrics::new(n)`.
-    pub fn reset(&mut self, n: usize) {
+    /// Resets every counter for a fresh run over `n` nodes with engine seed
+    /// `seed`, reusing the per-node allocations — equivalent to
+    /// `*self = Metrics::seeded(n, seed)`.
+    pub fn reset(&mut self, n: usize, seed: u64) {
         self.rounds = 0;
         self.channels_opened = 0;
         self.total_packets = 0;
@@ -77,6 +100,20 @@ impl Metrics {
         self.phases.clear();
         self.core_rounds = CoreRounds::default();
         self.last_dispatch = None;
+        self.draws.reset(seed, n);
+    }
+
+    /// Node `v`'s draw stream in the current round, positioned after its
+    /// earlier draws in this round.
+    #[inline]
+    pub fn node_draws(&mut self, v: NodeId) -> &mut NodeDraws {
+        self.draws.node(v, self.rounds)
+    }
+
+    /// The global draw stream ([`crate::seeding::GLOBAL_DRAWS`]) in the
+    /// current round.
+    pub fn global_draws(&mut self) -> &mut NodeDraws {
+        self.draws.global(self.rounds)
     }
 
     /// Marks the end of one synchronous step/round.
@@ -277,7 +314,7 @@ mod tests {
         m.record_dispatch(DispatchRecord { core: DeliveryCore::Scalar, ..record });
         assert_eq!(m.core_rounds(), CoreRounds { scalar: 1, eager: 1, batch: 0 });
         assert_eq!(m.last_dispatch().unwrap().core, DeliveryCore::Scalar);
-        m.reset(4);
+        m.reset(4, 0);
         assert_eq!(m.core_rounds(), CoreRounds::default());
         assert!(m.last_dispatch().is_none());
     }

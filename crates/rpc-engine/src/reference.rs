@@ -9,9 +9,9 @@
 //!
 //! It exists for two reasons:
 //!
-//! 1. **Oracle** — it consumes randomness in *exactly* the same order as the
+//! 1. **Oracle** — it makes *exactly* the same node-keyed draws as the
 //!    packed [`crate::Simulation`] (same rejection-sampling attempts, same
-//!    fallback draw over the same candidate count, same loss-sampling order),
+//!    fallback draw over the same candidate count, same loss draws),
 //!    so any protocol driven on both engines with the same graph and seed
 //!    must produce bit-identical traces. The `rpc-scenarios` property tests
 //!    assert this for randomized scenarios and the whole registry.
@@ -22,8 +22,7 @@
 //! It is deliberately sequential (no worker threads) and unoptimized; do not
 //! use it for large production runs.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use rpc_graphs::{Graph, NodeId};
 
@@ -32,8 +31,8 @@ use crate::message::{MessageId, MessageSet};
 use crate::metrics::Metrics;
 use crate::sim::{LivenessEvent, LivenessKind, Transfer};
 
-/// The unpacked (pre-optimization) simulation engine. Same API and RNG draw
-/// sequence as [`crate::Simulation`], `Vec<bool>`-and-scans bookkeeping.
+/// The unpacked (pre-optimization) simulation engine. Same API and draws as
+/// [`crate::Simulation`], `Vec<bool>`-and-scans bookkeeping.
 #[derive(Debug)]
 pub struct UnpackedSimulation<'g> {
     graph: &'g Graph,
@@ -56,8 +55,8 @@ pub struct UnpackedSimulation<'g> {
     departed_count: usize,
     fully_informed: usize,
     tracked: Option<MessageId>,
+    /// Communication counters and the draw cursors keyed by `seed`.
     metrics: Metrics,
-    rng: SmallRng,
     loss_probability: f64,
     schedule: Vec<LivenessEvent>,
     next_event: usize,
@@ -91,8 +90,7 @@ impl<'g> UnpackedSimulation<'g> {
             departed_count: 0,
             fully_informed: if n <= 1 { n } else { 0 },
             tracked: None,
-            metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03),
+            metrics: Metrics::seeded(n, seed),
             loss_probability: 0.0,
             schedule: Vec::new(),
             next_event: 0,
@@ -204,7 +202,9 @@ impl<'g> UnpackedSimulation<'g> {
             if t.from == t.to {
                 continue;
             }
-            if self.loss_probability > 0.0 && self.rng.gen_bool(self.loss_probability) {
+            if self.loss_probability > 0.0
+                && self.metrics.node_draws(t.from).gen_bool(self.loss_probability)
+            {
                 continue;
             }
             effective.push(t);
@@ -282,12 +282,13 @@ impl<'g> UnpackedSimulation<'g> {
     /// (32 attempts, then one draw over the eligible count) is identical to
     /// `Graph::random_neighbor_masked` on the packed presence words.
     fn random_neighbor_masked(&mut self, v: NodeId) -> Option<NodeId> {
+        let draws = self.metrics.node_draws(v);
         let nbrs = self.graph.neighbors(v);
         if nbrs.is_empty() {
             return None;
         }
         for _ in 0..32 {
-            let candidate = nbrs[self.rng.gen_range(0..nbrs.len())];
+            let candidate = nbrs[draws.gen_range(0..nbrs.len())];
             if self.present[candidate as usize] {
                 return Some(candidate);
             }
@@ -297,18 +298,19 @@ impl<'g> UnpackedSimulation<'g> {
         if pool.is_empty() {
             None
         } else {
-            Some(pool[self.rng.gen_range(0..pool.len())])
+            Some(pool[draws.gen_range(0..pool.len())])
         }
     }
 
     /// Masked `open-avoid` sampling, same draw sequence as the packed engine.
     fn random_neighbor_masked_avoiding(&mut self, v: NodeId, avoid: &[NodeId]) -> Option<NodeId> {
+        let draws = self.metrics.node_draws(v);
         let nbrs = self.graph.neighbors(v);
         if nbrs.is_empty() {
             return None;
         }
         for _ in 0..32 {
-            let candidate = nbrs[self.rng.gen_range(0..nbrs.len())];
+            let candidate = nbrs[draws.gen_range(0..nbrs.len())];
             if self.present[candidate as usize] && !avoid.contains(&candidate) {
                 return Some(candidate);
             }
@@ -321,7 +323,7 @@ impl<'g> UnpackedSimulation<'g> {
         if pool.is_empty() {
             None
         } else {
-            Some(pool[self.rng.gen_range(0..pool.len())])
+            Some(pool[draws.gen_range(0..pool.len())])
         }
     }
 
@@ -331,13 +333,14 @@ impl<'g> UnpackedSimulation<'g> {
     /// is active (`use_node_mask`). Draw sequence: 32 rejection attempts over
     /// the raw neighbor slice, then one draw over the eligible pool.
     fn random_neighbor_edge_masked(&mut self, v: NodeId, use_node_mask: bool) -> Option<NodeId> {
+        let draws = self.metrics.node_draws(v);
         let nbrs = self.graph.neighbors(v);
         if nbrs.is_empty() {
             return None;
         }
         let base = self.graph.edge_slot_range(v).start;
         for _ in 0..32 {
-            let i = self.rng.gen_range(0..nbrs.len());
+            let i = draws.gen_range(0..nbrs.len());
             let candidate = nbrs[i];
             if self.edge_up[base + i] && (!use_node_mask || self.present[candidate as usize]) {
                 return Some(candidate);
@@ -354,7 +357,7 @@ impl<'g> UnpackedSimulation<'g> {
         if pool.is_empty() {
             None
         } else {
-            Some(pool[self.rng.gen_range(0..pool.len())])
+            Some(pool[draws.gen_range(0..pool.len())])
         }
     }
 
@@ -366,13 +369,14 @@ impl<'g> UnpackedSimulation<'g> {
         avoid: &[NodeId],
         use_node_mask: bool,
     ) -> Option<NodeId> {
+        let draws = self.metrics.node_draws(v);
         let nbrs = self.graph.neighbors(v);
         if nbrs.is_empty() {
             return None;
         }
         let base = self.graph.edge_slot_range(v).start;
         for _ in 0..32 {
-            let i = self.rng.gen_range(0..nbrs.len());
+            let i = draws.gen_range(0..nbrs.len());
             let candidate = nbrs[i];
             if self.edge_up[base + i]
                 && (!use_node_mask || self.present[candidate as usize])
@@ -394,7 +398,7 @@ impl<'g> UnpackedSimulation<'g> {
         if pool.is_empty() {
             None
         } else {
-            Some(pool[self.rng.gen_range(0..pool.len())])
+            Some(pool[draws.gen_range(0..pool.len())])
         }
     }
 }
@@ -421,7 +425,7 @@ impl Engine for UnpackedSimulation<'_> {
             let use_node_mask = self.departed_count > 0;
             self.random_neighbor_edge_masked(v, use_node_mask)?
         } else if self.departed_count == 0 {
-            self.graph.random_neighbor(v, &mut self.rng)?
+            self.graph.random_neighbor(v, self.metrics.node_draws(v))?
         } else {
             self.random_neighbor_masked(v)?
         };
@@ -438,7 +442,7 @@ impl Engine for UnpackedSimulation<'_> {
             let use_node_mask = self.departed_count > 0;
             self.random_neighbor_edge_masked_avoiding(v, avoid, use_node_mask)?
         } else if self.departed_count == 0 {
-            self.graph.random_neighbor_avoiding(v, avoid, &mut self.rng)?
+            self.graph.random_neighbor_avoiding(v, avoid, self.metrics.node_draws(v))?
         } else {
             self.random_neighbor_masked_avoiding(v, avoid)?
         };
@@ -670,10 +674,6 @@ impl Engine for UnpackedSimulation<'_> {
 
     fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
-    }
-
-    fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 }
 

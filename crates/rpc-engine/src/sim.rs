@@ -1,9 +1,9 @@
 //! The synchronous random phone call simulation state.
 //!
 //! A [`Simulation`] bundles the network graph, every node's current combined
-//! message, the liveness masks used by the failure and churn models, the
-//! communication metrics and the random source. Algorithms drive it with three
-//! primitives:
+//! message, the liveness masks used by the failure and churn models, and the
+//! communication metrics with the run's draw cursors. Algorithms drive it
+//! with three primitives:
 //!
 //! 1. [`Simulation::open_channel`] / [`Simulation::open_channel_avoiding`] —
 //!    "in each step every node opens a communication channel to a randomly
@@ -47,12 +47,11 @@
 //! (see [`crate::parallel`] for the scheduling details).
 //!
 //! The unoptimized PR 2 implementation of this type survives as
-//! [`crate::reference::UnpackedSimulation`] — same API, same RNG draw
-//! sequence, `Vec<bool>` bookkeeping — and serves as the correctness oracle
-//! and benchmark baseline for this hot path.
+//! [`crate::reference::UnpackedSimulation`] — same API, same node-keyed
+//! draws (see [`crate::seeding`]), `Vec<bool>` bookkeeping — and serves as
+//! the correctness oracle and benchmark baseline for this hot path.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use rpc_graphs::{Graph, NodeId};
 
@@ -228,8 +227,8 @@ pub struct Simulation<'g> {
     full: BitSet,
     fully_informed: usize,
     tracked: Option<TrackedRumor>,
+    /// Communication counters and the draw cursors keyed by `seed`.
     metrics: Metrics,
-    rng: SmallRng,
     semantics: DeliverySemantics,
     threads: usize,
     /// Per-packet loss probability applied inside [`Simulation::deliver`].
@@ -272,11 +271,6 @@ pub struct Simulation<'g> {
     edge_down_count: usize,
 }
 
-/// XOR salt folded into every engine seed, shared by [`Simulation::new`],
-/// [`Simulation::reset`] and the unpacked oracle so all construction paths
-/// seed identically.
-pub(crate) const RNG_SEED_SALT: u64 = 0xd1b5_4a32_d192_ed03;
-
 impl<'g> Simulation<'g> {
     /// Creates a simulation in the gossiping start configuration: node `v`
     /// knows exactly its own original message `m_v = {v}`.
@@ -297,8 +291,7 @@ impl<'g> Simulation<'g> {
             full: if n <= 1 { BitSet::new_full(n) } else { BitSet::new(n) },
             fully_informed: if n <= 1 { n } else { 0 },
             tracked: None,
-            metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
+            metrics: Metrics::seeded(n, seed),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
@@ -327,7 +320,7 @@ impl<'g> Simulation<'g> {
     /// ([`Self::rumor_informed_count`]) are maintained incrementally.
     ///
     /// Seeding matches [`Simulation::new`] bit for bit; a streaming
-    /// simulation draws nothing extra from the RNG.
+    /// simulation makes no extra draws.
     pub fn new_streaming(graph: &'g Graph, seed: u64, universe: usize) -> Self {
         let n = graph.num_nodes();
         let states = (0..n).map(|_| MessageSet::empty(universe)).collect();
@@ -347,8 +340,7 @@ impl<'g> Simulation<'g> {
             full: if universe == 0 { BitSet::new_full(n) } else { BitSet::new(n) },
             fully_informed: if universe == 0 { n } else { 0 },
             tracked: None,
-            metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
+            metrics: Metrics::seeded(n, seed),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
@@ -376,7 +368,7 @@ impl<'g> Simulation<'g> {
     /// repetitions allocation-free in steady state (see [`SimulationArena`]).
     ///
     /// Observable behaviour after `reset` is identical to
-    /// `Simulation::new(graph, seed)`: same RNG stream, same start states,
+    /// `Simulation::new(graph, seed)`: same draws, same start states,
     /// empty event schedule, zeroed metrics. The configuration knobs keep
     /// their builder-applied values (`threads`, delivery semantics) except
     /// the loss probability, which resets to `0.0` — like the builders, it is
@@ -439,9 +431,8 @@ impl<'g> Simulation<'g> {
             self.fully_informed = 0;
         }
         self.tracked = None;
-        self.metrics.reset(n);
+        self.metrics.reset(n, seed);
         self.update_pools.stats = rpc_obs::PoolStats::default();
-        self.rng = SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT);
         self.loss_probability = 0.0;
         self.schedule.clear();
         self.next_event = 0;
@@ -469,8 +460,9 @@ impl<'g> Simulation<'g> {
 
     /// Sets the per-packet message-loss probability (default `0.0`). Each
     /// packet that would be delivered is instead dropped with probability `p`,
-    /// drawn from the simulation's own RNG so runs stay deterministic in the
-    /// seed for any thread count. Lost packets are still counted as sent.
+    /// decided by one draw of the sender (see [`crate::seeding`]), so runs
+    /// stay deterministic in the seed for any thread count. Lost packets are
+    /// still counted as sent.
     ///
     /// Panics unless `p ∈ [0, 1)`.
     pub fn with_loss_probability(mut self, p: f64) -> Self {
@@ -522,12 +514,6 @@ impl<'g> Simulation<'g> {
     /// accounting and phase markers).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
-    }
-
-    /// The simulation's random source. All randomness of a run flows through
-    /// this generator, so a run is fully determined by the graph and the seed.
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 
     /// Current combined message of node `v`.
@@ -610,9 +596,9 @@ impl<'g> Simulation<'g> {
     /// delivery paths from the next packet on. Returns `true` if the node
     /// newly learned the rumor. Injection into a crashed or departed node is
     /// dropped (the arrival is recorded, nothing is stored), and a
-    /// TTL-expired rumor is never re-injected. Draws nothing from the RNG —
-    /// callers sample sources and timing from their own stream, which is
-    /// what keeps both engines in RNG lockstep.
+    /// TTL-expired rumor is never re-injected. Draws nothing — callers
+    /// sample sources and timing from their own stream, which is what keeps
+    /// both engines in draw lockstep.
     pub fn inject_rumor(&mut self, source: NodeId, m: MessageId) -> bool {
         assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
         if let Some(rs) = &mut self.rumors {
@@ -892,7 +878,7 @@ impl<'g> Simulation<'g> {
     /// work on liveness or informedness *before* touching a primitive
     /// (e.g. a broadcast driver that only opens channels for informed
     /// nodes). Such drivers call this once at the top of each step; it is
-    /// idempotent within a round and draws nothing from the RNG.
+    /// idempotent within a round and draws nothing.
     pub fn apply_due_events(&mut self) {
         self.poll_events();
     }
@@ -907,18 +893,14 @@ impl<'g> Simulation<'g> {
         if !self.alive.get(v as usize) || !self.present.get(v as usize) {
             return None;
         }
+        let draws = self.metrics.node_draws(v);
         let target = if self.edge_down_count > 0 {
             let node_words = (self.departed_count > 0).then(|| self.present.words());
-            self.graph.random_neighbor_edge_masked(
-                v,
-                node_words,
-                self.edge_up.words(),
-                &mut self.rng,
-            )?
+            self.graph.random_neighbor_edge_masked(v, node_words, self.edge_up.words(), draws)?
         } else if self.departed_count == 0 {
-            self.graph.random_neighbor(v, &mut self.rng)?
+            self.graph.random_neighbor(v, draws)?
         } else {
-            self.graph.random_neighbor_masked(v, self.present.words(), &mut self.rng)?
+            self.graph.random_neighbor_masked(v, self.present.words(), draws)?
         };
         self.metrics.record_channel_open(v);
         Some(target)
@@ -932,6 +914,7 @@ impl<'g> Simulation<'g> {
         if !self.alive.get(v as usize) || !self.present.get(v as usize) {
             return None;
         }
+        let draws = self.metrics.node_draws(v);
         let target = if self.edge_down_count > 0 {
             let node_words = (self.departed_count > 0).then(|| self.present.words());
             self.graph.random_neighbor_edge_masked_avoiding(
@@ -939,17 +922,12 @@ impl<'g> Simulation<'g> {
                 avoid,
                 node_words,
                 self.edge_up.words(),
-                &mut self.rng,
+                draws,
             )?
         } else if self.departed_count == 0 {
-            self.graph.random_neighbor_avoiding(v, avoid, &mut self.rng)?
+            self.graph.random_neighbor_avoiding(v, avoid, draws)?
         } else {
-            self.graph.random_neighbor_masked_avoiding(
-                v,
-                avoid,
-                self.present.words(),
-                &mut self.rng,
-            )?
+            self.graph.random_neighbor_masked_avoiding(v, avoid, self.present.words(), draws)?
         };
         self.metrics.record_channel_open(v);
         Some(target)
@@ -1049,7 +1027,9 @@ impl<'g> Simulation<'g> {
             if t.from == t.to {
                 continue; // self-delivery is a no-op (possible via self-loops)
             }
-            if self.loss_probability > 0.0 && self.rng.gen_bool(self.loss_probability) {
+            if self.loss_probability > 0.0
+                && self.metrics.node_draws(t.from).gen_bool(self.loss_probability)
+            {
                 continue; // lost in transit: sent (counted) but never stored
             }
             out.push(t);
@@ -1558,7 +1538,6 @@ impl SimulationArena {
             fully_informed: 0,
             tracked: None,
             metrics: st.metrics,
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,

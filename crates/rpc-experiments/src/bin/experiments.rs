@@ -42,6 +42,9 @@
 //! over in-process channels and injects faults per the `--nemesis` grammar
 //! (`drop=0.1,delay=0.2:3,duplicate=0.05,partition=4:2,crash=3@5+4,seed=9`);
 //! `--require-complete` exits nonzero unless the stop rule was satisfied.
+//! Before building anything, `cluster` estimates the run's memory footprint
+//! from n and refuses, printing the estimate, when it exceeds the host's
+//! `MemAvailable`.
 //!
 //! `--profile` (or `--trace-out FILE`) streams every sweep's observability
 //! events — dispatch decisions, pool/arena stats, per-repetition wall-clock —
@@ -70,8 +73,8 @@ use rpc_experiments::{
 };
 use rpc_obs::TraceWriter;
 use rpc_runtime::{
-    run_cluster, run_cluster_observed, serve, ClusterConfig, NemesisSpec, RetryPolicy,
-    RuntimeOutcome, StdioTransport,
+    admit_cluster, run_cluster, run_cluster_observed, serve, ClusterConfig, NemesisSpec,
+    RetryPolicy, RuntimeOutcome, StdioTransport,
 };
 use rpc_scenarios::{
     arithmetic_failure_sweep, dense_size_sweep, failure_sweep, registry, size_sweep, SweepReport,
@@ -339,6 +342,9 @@ fn run_cluster_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String>
         }
     }
 
+    if u32::try_from(n).is_err() {
+        return Err(format!("--n {n} is too large: node ids are 32-bit"));
+    }
     let scenario = registry::find(&scenario_name, n)
         .ok_or_else(|| format!("no registry scenario named {scenario_name:?}"))?;
     // The registry clamps sizes so every scenario stays well-formed; report
@@ -347,6 +353,7 @@ fn run_cluster_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String>
         eprintln!("note: registry clamped --n {n} to {}", scenario.topology.num_nodes());
         n = scenario.topology.num_nodes();
     }
+    admit_cluster(&scenario, mem_available_bytes())?;
     let config = ClusterConfig { policy: RetryPolicy::default(), nemesis };
     let outcome = match &trace_out {
         Some(path) => {
@@ -368,6 +375,15 @@ fn run_cluster_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String>
         return Err(format!("stop rule not satisfied: {:?}", outcome.stopped_by));
     }
     Ok(())
+}
+
+/// The host's `MemAvailable` in bytes, from `/proc/meminfo`; `None` where
+/// that is unreadable (non-Linux hosts), which admits every run.
+fn mem_available_bytes() -> Option<u64> {
+    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = meminfo.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib.saturating_mul(1024))
 }
 
 /// Prints the cluster outcome in the same key/value style the sweep tables

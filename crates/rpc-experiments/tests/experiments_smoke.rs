@@ -114,3 +114,23 @@ fn unknown_subcommand_fails_with_message() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown subcommand"), "stderr: {stderr}");
 }
+
+#[test]
+fn oversized_cluster_is_refused_with_its_estimate() {
+    // n = 10^8 needs petabytes of rumor payloads (refused where MemAvailable
+    // is readable); n = 10^12 has no u32 ids.
+    let mut cases = vec![("1000000000000", "node ids are 32-bit")];
+    if cfg!(target_os = "linux") {
+        cases.push(("100000000", "estimated footprint"));
+    }
+    for (n, expected) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["cluster", "--n", n])
+            .output()
+            .expect("experiments binary should spawn");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "n = {n}: {stderr}");
+        assert!(stderr.contains(expected), "n = {n}: {stderr}");
+        assert!(!stderr.contains("panicked"), "n = {n}: {stderr}");
+    }
+}

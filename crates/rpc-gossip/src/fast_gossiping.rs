@@ -183,7 +183,7 @@ impl FastGossipingDriver {
         let n = sim.num_nodes();
         let mut arrivals: Vec<(NodeId, Walk)> = Vec::new();
         for v in 0..n as NodeId {
-            let start = sim.rng_mut().gen_bool(self.alg.config.walk_probability);
+            let start = sim.node_draws(v).gen_bool(self.alg.config.walk_probability);
             if !start {
                 continue;
             }

@@ -251,8 +251,9 @@ enum ElectionStage {
 /// through an [`Engine`] so the scenario executor's environment dimensions
 /// (crash bursts, per-round traces, stop rules) apply uniformly. Liveness
 /// comes from the engine's masks instead of a bespoke `alive` vector, and
-/// every random draw (candidacy coin, `open-avoid` neighbour choice) comes
-/// from the engine RNG, so runs are deterministic in the scenario seed.
+/// every random draw (candidacy coin, `open-avoid` neighbour choice) is one
+/// of the engine's node-keyed draws, so runs are deterministic in the
+/// scenario seed.
 #[derive(Clone, Debug)]
 pub struct LeaderElectionDriver {
     config: LeaderElectionConfig,
@@ -375,7 +376,7 @@ impl ProtocolDriver for LeaderElectionDriver {
             ElectionStage::Candidacy => {
                 for v in 0..n as NodeId {
                     if !sim.is_participating(v)
-                        || !sim.rng_mut().gen_bool(self.config.candidate_probability)
+                        || !sim.node_draws(v).gen_bool(self.config.candidate_probability)
                     {
                         continue;
                     }

@@ -330,7 +330,7 @@ impl MemoryGossip {
     fn pick_leader<E: Engine>(&self, sim: &mut E) -> NodeId {
         use rand::Rng;
         let n = sim.num_nodes() as NodeId;
-        self.leader.unwrap_or_else(|| sim.rng_mut().gen_range(0..n))
+        self.leader.unwrap_or_else(|| sim.global_draws().gen_range(0..n))
     }
 
     /// Phase I: builds one leader-rooted communication tree. Only the leader's
@@ -393,7 +393,7 @@ impl MemoryGossip {
         // Fail `failures` random non-leader nodes.
         let n = sim.num_nodes();
         let failed: Vec<NodeId> = if failures > 0 {
-            let mut candidates = sample_failures(n, (failures + 1).min(n), sim.rng_mut());
+            let mut candidates = sample_failures(n, (failures + 1).min(n), sim.global_draws());
             candidates.retain(|&v| v != leader);
             candidates.truncate(failures);
             candidates
@@ -454,7 +454,7 @@ enum MmState {
 /// replay indices live in the driver, so the scenario engine can stop, trace
 /// or budget the protocol between any two rounds. Stepping to exhaustion
 /// consumes randomness exactly like [`MemoryGossip::run_on_engine`], which is
-/// a thin loop over this driver. The leader draw (one RNG value when no
+/// a thin loop over this driver. The leader draw (one global draw when no
 /// leader is fixed) happens inside the first `step` call, preserving the
 /// block formulation's draw order.
 #[derive(Clone, Debug)]

@@ -33,7 +33,7 @@ pub enum StepStatus {
 /// A driver owns every piece of cross-round protocol state (phase counters,
 /// walk queues, contact lists, partial trees, …); the only state living in
 /// the engine is what the paper's model puts there (node message sets,
-/// liveness masks, metrics, the RNG). Callers may therefore interleave
+/// liveness masks, metrics and the draw cursors). Callers may therefore interleave
 /// `step` calls with arbitrary *read-only* engine queries — stop-rule checks,
 /// coverage counters, trace capture — without perturbing the run.
 ///
@@ -46,7 +46,7 @@ pub enum StepStatus {
 /// `step` is bit-identical to the block run — this is what lets the
 /// packed-vs-unpacked trace-equivalence suite extend to stepped runs, and
 /// what makes a stepped scenario outcome equal to the legacy block outcome.
-/// Drivers must not draw from the engine RNG outside of `step` (lazy
+/// Drivers must not draw from the engine outside of `step` (lazy
 /// initialisation, such as the memory model's leader draw, happens inside
 /// the first `step` call).
 pub trait ProtocolDriver {

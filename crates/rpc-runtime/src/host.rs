@@ -201,7 +201,7 @@ impl<'g, T: Transport> NodeHost<'g, T> {
 }
 
 /// The deployable node's main loop (see module docs): wait for `init`,
-/// build the local replica, pump until EOF. `state_path` enables
+/// build the topology and run plan, pump until EOF. `state_path` enables
 /// crash-restart persistence: the rumor store is written there after every
 /// handled message and reloaded (when valid) at `init`.
 pub fn serve<T: Transport>(

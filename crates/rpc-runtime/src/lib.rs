@@ -13,9 +13,10 @@
 //! * [`wire`] — envelopes, typed bodies, and a total decoder (malformed
 //!   input becomes structured errors, never panics);
 //! * [`store`] — the durable per-node rumor bitset and its hex codec;
-//! * [`node`] — [`NodeActor`]: owns a store, a deterministic engine replica
-//!   and a `PushPullDriver`; derives each round's transfer schedule locally
-//!   from the shared seed, so no randomness ever crosses the wire;
+//! * [`node`] — [`NodeActor`]: owns a store and reads the topology; derives
+//!   its part of each round's transfer schedule from the engines' node-keyed
+//!   draws — its own partner draw and its neighbours' — in `O(deg)`, so no
+//!   randomness ever crosses the wire and no node holds simulator state;
 //! * [`sync`] — [`Coordinator`]: the round synchronizer with timeouts,
 //!   bounded exponential-backoff retries and quorum-based round advance;
 //! * [`nemesis`] — the seeded fault injector (drop, delay, duplicate,
@@ -43,12 +44,15 @@ pub mod store;
 pub mod sync;
 pub mod wire;
 
-pub use cluster::{run_cluster, run_cluster_observed, ClusterConfig, CrashAudit, RuntimeOutcome};
+pub use cluster::{
+    admit_cluster, cluster_footprint_bytes, run_cluster, run_cluster_observed, ClusterConfig,
+    CrashAudit, RuntimeOutcome,
+};
 pub use host::{
     serve, ChannelEnds, ChannelTransport, NodeHost, StdioTransport, Transport, TransportError,
 };
 pub use nemesis::{CrashPlan, FaultStats, Nemesis, NemesisSpec};
-pub use node::NodeActor;
+pub use node::{NodeActor, RoundSchedule};
 pub use store::RumorStore;
 pub use sync::{Coordinator, RetryPolicy, RuntimeRow};
 pub use wire::{Body, Envelope, WireError, COORDINATOR};

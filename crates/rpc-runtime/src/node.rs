@@ -1,16 +1,20 @@
 //! The per-node gossip actor.
 //!
 //! A [`NodeActor`] is one deployable node of the push-pull protocol: it owns
-//! its durable [`RumorStore`], a deterministic engine *replica*, and a
-//! [`PushPullDriver`] — and it speaks only [`crate::wire`] messages. The key
-//! trick that makes a randomized protocol deployable without a shared RNG is
-//! **replica determinism**: every node runs an identical
-//! `Simulation::new(graph, run_seed)` replica and steps it once per round, so
-//! all nodes independently derive the *same* per-round transfer schedule and
-//! each node reads off its own role (whom it pushes to, whom it must hear
-//! from). The store — not the replica — is the authoritative rumor state;
-//! the replica only supplies the schedule, which is exactly what makes the
-//! fault-free runtime trace bit-identical to the in-process simulator.
+//! its durable [`RumorStore`] and a read-only view of the topology, and it
+//! speaks only [`crate::wire`] messages. It needs no shared random stream:
+//! the engines key every draw by node and round (see
+//! [`rpc_engine::seeding`]), so in round `r` a node evaluates
+//!
+//! * its own partner, `random_neighbor(v, node_draws(run_seed, v, r − 1, 0))`
+//!   (runtime rounds are 1-based, engine rounds 0-based), and
+//! * its callers, by evaluating the same draw for each neighbour `u` and
+//!   keeping the `u` whose draw lands on `v`,
+//!
+//! at `O(deg v)` cost. That is exactly the simulator's push-pull schedule
+//! restricted to the transfers touching `v`, which is what makes the
+//! fault-free runtime trace bit-identical to the in-process simulator. The
+//! store is the authoritative rumor state.
 //!
 //! Fault tolerance falls out of two properties:
 //!
@@ -21,17 +25,32 @@
 //!   never arrive and reports what it has, keeping the cluster live.
 //!
 //! Crash-restart rebuilds an actor from its persisted store words
-//! ([`NodeActor::restart`]); the fresh replica is fast-forwarded to the
-//! current round on the next `start_round`, so a rejoined node is back in
-//! lockstep immediately.
+//! ([`NodeActor::restart`]). A round's schedule depends only on the round
+//! number, so the rejoined node computes the current round's schedule
+//! directly and is back in lockstep immediately.
 
-use rpc_engine::Simulation;
-use rpc_gossip::{ProtocolDriver, PushPullDriver, StepStatus};
+use rpc_engine::seeding::node_draws;
 use rpc_graphs::{Graph, NodeId};
 use rpc_scenarios::RuntimePlan;
 
 use crate::store::RumorStore;
 use crate::wire::{node_name, Body, Envelope, CODE_UNUSABLE, COORDINATOR};
+
+/// One node's part of one push-pull round: the transfers of the
+/// simulator's schedule that start or end at the node, in schedule order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RoundSchedule {
+    /// Peers the node sends its payload to.
+    pub sends: Vec<NodeId>,
+    /// Peers whose payload the node must receive (a peer appears twice when
+    /// both nodes opened a channel to each other).
+    pub expected: Vec<NodeId>,
+    /// Packets the node sends, under the simulator's accounting (self-loop
+    /// transfers count but never cross the wire).
+    pub packets: u64,
+    /// Channels the node opened.
+    pub exchanges: u64,
+}
 
 /// The in-flight state of one synchronous round at one node.
 #[derive(Debug)]
@@ -65,14 +84,14 @@ impl PendingRound {
 pub struct NodeActor<'g> {
     id: NodeId,
     plan: RuntimePlan,
-    replica: Simulation<'g>,
-    driver: PushPullDriver,
+    /// The topology: the node reads its own and its neighbours' adjacency.
+    graph: &'g Graph,
     store: RumorStore,
     /// Union of every rumor that provably *arrived* (decoded payloads plus
     /// this node's own rumor) — the provenance set behind
     /// [`NodeActor::no_forged_rumors`].
     delivered: RumorStore,
-    /// Rounds begun (== replica steps taken).
+    /// The last round begun (0 before the first).
     started: u64,
     current: Option<PendingRound>,
     /// Gossip that arrived for a round we have not begun yet (the sender is
@@ -97,9 +116,8 @@ impl<'g> NodeActor<'g> {
         Self::with_state(graph, plan, id, store, delivered)
     }
 
-    /// A node rebuilt after a crash from its persisted store words. The
-    /// replica restarts from round zero and is fast-forwarded to the
-    /// cluster's current round by the next `start_round`.
+    /// A node rebuilt after a crash from its persisted store words. It joins
+    /// whatever round the next `start_round` names.
     pub fn restart(graph: &'g Graph, plan: &RuntimePlan, id: NodeId, persisted: &[u64]) -> Self {
         let mut store = RumorStore::new(plan.n);
         store.merge_words(persisted);
@@ -119,8 +137,7 @@ impl<'g> NodeActor<'g> {
         NodeActor {
             id,
             plan: plan.clone(),
-            replica: Simulation::new(graph, plan.run_seed),
-            driver: PushPullDriver::new(plan.max_rounds as usize),
+            graph,
             store,
             delivered,
             started: 0,
@@ -143,6 +160,53 @@ impl<'g> NodeActor<'g> {
     /// The durable rumor state.
     pub fn store(&self) -> &RumorStore {
         &self.store
+    }
+
+    /// This node's part of push-pull round `round` (1-based): the
+    /// simulator's transfers `(w, partner(w)), (partner(w), w)` for every
+    /// opener `w` that is this node or a neighbour calling it, in ascending
+    /// opener order. Empty past the plan's round cap.
+    pub fn schedule(&self, round: u64) -> RoundSchedule {
+        let mut schedule = RoundSchedule::default();
+        if round == 0 || round > self.plan.max_rounds {
+            return schedule;
+        }
+        let id = self.id;
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut last = None;
+        for &w in self.graph.neighbors(id) {
+            // Adjacency is sorted: skip parallel copies, and self-loops (a
+            // self-loop partner is this node's own draw, added below).
+            if last != Some(w) && w != id && self.partner(w, round) == Some(id) {
+                pairs.push((w, id));
+            }
+            last = Some(w);
+        }
+        if let Some(u) = self.partner(id, round) {
+            pairs.insert(pairs.partition_point(|&(w, _)| w < id), (id, u));
+        }
+        for (w, u) in pairs {
+            // One channel: the opener pushes, the callee answers the pull.
+            for (from, to, push) in [(w, u, true), (u, w, false)] {
+                if from == id {
+                    schedule.packets += 1;
+                    schedule.exchanges += u64::from(push);
+                    if to != id {
+                        schedule.sends.push(to);
+                    }
+                } else if to == id {
+                    schedule.expected.push(from);
+                }
+            }
+        }
+        schedule
+    }
+
+    /// Node `u`'s push-pull partner in round `round`: its first draw of
+    /// engine round `round - 1`.
+    fn partner(&self, u: NodeId, round: u64) -> Option<NodeId> {
+        let mut draws = node_draws(self.plan.run_seed, u64::from(u), round - 1, 0);
+        self.graph.random_neighbor(u, &mut draws)
     }
 
     /// No rumor was forged: everything in the store arrived in a decoded
@@ -239,45 +303,16 @@ impl<'g> NodeActor<'g> {
         // The coordinator moved past a round we never finished (quorum
         // advance): abandon it — future payloads re-carry everything.
         self.current = None;
-        // Fast-forward the replica over rounds we missed while crashed (or
-        // that completed without us), so the schedule stays in lockstep.
-        while self.started + 1 < round {
-            let _ = self.driver.step(&mut self.replica);
-            self.started += 1;
-        }
         self.begin_round(round)
     }
 
     fn begin_round(&mut self, round: u64) -> Vec<Envelope> {
-        // Snapshot BEFORE stepping: payloads carry pre-round state, exactly
-        // as the engine's deliver() reads sender sets snapshotted before any
-        // merge of the round.
+        // Snapshot first: payloads carry pre-round state, exactly as the
+        // engine's deliver() reads sender sets snapshotted before any merge
+        // of the round.
         let payload_hex = self.store.to_hex();
-        let stepped = self.driver.step(&mut self.replica);
+        let RoundSchedule { sends, expected, packets, exchanges } = self.schedule(round);
         self.started = round;
-        let transfers: &[rpc_engine::Transfer] =
-            if stepped == StepStatus::Done { &[] } else { self.driver.transfers() };
-        let mut sends = Vec::new();
-        let mut expected = Vec::new();
-        let mut packets = 0u64;
-        let mut exchanges = 0u64;
-        for (i, t) in transfers.iter().enumerate() {
-            if t.from == self.id {
-                // Every transfer counts as a packet (the simulator records
-                // packets before its self-loop skip), but only transfers to
-                // *other* nodes cross the wire.
-                packets += 1;
-                if i % 2 == 0 {
-                    exchanges += 1;
-                }
-                if t.to != self.id {
-                    sends.push(t.to);
-                }
-            }
-            if t.to == self.id && t.from != self.id {
-                expected.push(t.from);
-            }
-        }
         let received = vec![false; expected.len()];
         let mut out: Vec<Envelope> = sends
             .iter()

@@ -3,10 +3,10 @@
 //! [`RumorStore`] is the runtime's own bitset over rumor ids `0..n`. It is
 //! deliberately independent of the engine's `MessageSet` — the store is the
 //! *durable* state a node owns (what survives a crash-restart and what goes
-//! on the wire), while the engine set is the *replica* state a node derives
-//! by re-executing the deterministic protocol. Keeping the two separate is
-//! what lets the invariant suite compare them: a forged rumor is a bit set
-//! in the store that never arrived in a decoded payload.
+//! on the wire), and it holds only what arrived over the wire. A second
+//! store of everything that arrived in a decoded payload is what the
+//! invariant suite compares it with: a forged rumor is a bit set in the
+//! store that never arrived in a decoded payload.
 //!
 //! The hex codec here is the wire representation used by `gossip` payloads
 //! and the stdio host's `--state-path` persistence: each 64-bit word becomes

@@ -87,6 +87,8 @@ pub struct Coordinator {
     phase: Phase,
     /// Per-node ack flags for the in-flight handshake (init or round).
     acked: Vec<bool>,
+    /// How many of `acked` are set.
+    acks: usize,
     /// Last reported per-node state.
     informed: Vec<bool>,
     tracked: Vec<bool>,
@@ -120,6 +122,7 @@ impl Coordinator {
             seed,
             phase: Phase::Init,
             acked: vec![false; n],
+            acks: 0,
             informed: vec![false; n],
             tracked: vec![false; n],
             counts: vec![0; n],
@@ -246,10 +249,11 @@ impl Coordinator {
             return Vec::new();
         }
         self.acked[k] = true;
+        self.acks += 1;
         self.informed[k] = informed;
         self.tracked[k] = tracked;
         self.counts[k] = count;
-        if self.acked.iter().all(|&a| a) {
+        if self.acks == self.plan.n {
             return self.advance(obs);
         }
         Vec::new()
@@ -275,12 +279,13 @@ impl Coordinator {
         }
         if self.phase == Phase::Round && round == self.round && !self.acked[k] {
             self.acked[k] = true;
+            self.acks += 1;
             self.informed[k] = informed;
             self.tracked[k] = tracked;
             self.counts[k] = count;
             self.total_packets += packets;
             self.total_exchanges += exchanges;
-            if self.acked.iter().all(|&a| a) {
+            if self.acks == self.plan.n {
                 if O::ENABLED {
                     obs.record(&ObsEvent::RoundAdvanced {
                         round: self.round,
@@ -446,9 +451,8 @@ impl Coordinator {
         self.phase = Phase::Round;
         self.round = self.rounds_done + 1;
         self.attempt = 0;
-        for a in &mut self.acked {
-            *a = false;
-        }
+        self.acked.fill(false);
+        self.acks = 0;
         let mut out: Vec<Envelope> = (0..self.plan.n)
             .map(|k| {
                 Envelope::new(

@@ -96,7 +96,7 @@ impl Envelope {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Body {
     /// Coordinator → node: adopt this identity and scenario. The stdio host
-    /// builds its graph and engine replica from exactly these parameters.
+    /// builds its graph and run plan from exactly these parameters.
     Init {
         /// This node's id.
         node_id: NodeId,

@@ -13,9 +13,17 @@
 //! crash-restarted node rejoins with its persisted rumors intact.
 
 use proptest::prelude::*;
+use rpc_engine::Simulation;
+use rpc_gossip::{ProtocolDriver, PushPullDriver};
+use rpc_graphs::NodeId;
 use rpc_obs::TraceWriter;
-use rpc_runtime::{run_cluster, run_cluster_observed, ClusterConfig, NemesisSpec, RetryPolicy};
-use rpc_scenarios::{registry, run_scenario_traced, StoppedBy};
+use rpc_runtime::{
+    run_cluster, run_cluster_observed, Body, ClusterConfig, Envelope, NemesisSpec, NodeActor,
+    RetryPolicy, RoundSchedule, RumorStore, COORDINATOR,
+};
+use rpc_scenarios::{
+    plan_runtime, registry, run_scenario_traced, scenario_engine_seeds, StoppedBy,
+};
 
 /// Drives one scenario through both executors and asserts trace equality.
 fn assert_differential(name: &str, n: usize, seed: u64) {
@@ -198,13 +206,85 @@ fn hostile_nemesis_run_completes_with_invariants_intact() {
     // The fault tolerance machinery visibly engaged.
     assert!(outcome.retries > 0, "drops must trigger retransmissions");
     // Coverage stays monotone per node even through the crash window.
-    for node in 0..32 {
+    assert_monotone_coverage(&outcome.count_history, 32);
+}
+
+/// Per-node coverage never regresses across the round snapshots.
+fn assert_monotone_coverage(count_history: &[Vec<u64>], n: usize) {
+    for node in 0..n {
         let mut prev = 0u64;
-        for snapshot in &outcome.count_history {
-            assert!(snapshot[node] >= prev);
+        for (round, snapshot) in count_history.iter().enumerate() {
+            assert!(snapshot[node] >= prev, "node {node} coverage regressed at round {round}");
             prev = snapshot[node];
         }
     }
+}
+
+/// The gossip destinations of a `start_round` reply, in send order.
+fn gossip_targets(out: &[Envelope]) -> Vec<String> {
+    out.iter().filter(|e| matches!(e.body, Body::Gossip { .. })).map(|e| e.dest.clone()).collect()
+}
+
+/// A node down for six rounds rejoins with no fast-forward: its first
+/// post-restart schedule equals that of the same node had it never
+/// crashed, and the simulator's push-pull transfers touching it.
+#[test]
+fn crash_restart_rejoins_on_the_current_schedule() {
+    let (n, seed, node) = (32usize, 3u64, 3 as NodeId);
+    let scenario = registry::find("sparse-er", n).unwrap();
+    let config = ClusterConfig {
+        policy: RetryPolicy::default(),
+        nemesis: NemesisSpec::parse("crash=3@2+6,seed=1").unwrap(),
+    };
+    let outcome = run_cluster(&scenario, seed, &config).unwrap();
+    assert!(outcome.completed, "stopped by {:?}", outcome.stopped_by);
+    assert!(!outcome.forged);
+    assert_eq!((outcome.faults.crashes, outcome.faults.restarts), (1, 1));
+    let audit = &outcome.crash_audits[0];
+    assert_eq!(audit.node, node);
+    for (w, p) in outcome.final_words[node as usize].iter().zip(&audit.persisted) {
+        assert_eq!(p & !w, 0, "persisted rumors survive the restart");
+    }
+    assert_monotone_coverage(&outcome.count_history, n);
+
+    // The window covers rounds 2..8, so the node rejoins in round 8.
+    let rejoin = 8u64;
+    let graph = scenario.topology.build().generate(scenario_engine_seeds(seed).0);
+    let plan = plan_runtime(&scenario, seed, &graph).unwrap();
+    let start = |round| Envelope::new(COORDINATOR, "n3", Body::StartRound { round, attempt: 0 });
+    let mut never_crashed = NodeActor::new(&graph, &plan, node);
+    for round in 1..rejoin {
+        let _ = never_crashed.handle(&start(round));
+    }
+    let mut rejoined =
+        NodeActor::restart(&graph, &plan, node, RumorStore::with_own(n, node).words());
+    assert_eq!(rejoined.schedule(rejoin), never_crashed.schedule(rejoin));
+    assert_eq!(
+        gossip_targets(&rejoined.handle(&start(rejoin))),
+        gossip_targets(&never_crashed.handle(&start(rejoin)))
+    );
+
+    // The simulator's round `rejoin`, restricted to the transfers touching
+    // the node, is the same schedule.
+    let mut sim = Simulation::new(&graph, plan.run_seed);
+    let mut driver = PushPullDriver::new(plan.max_rounds as usize);
+    for _ in 0..rejoin {
+        driver.step(&mut sim);
+    }
+    let mut expected = RoundSchedule::default();
+    for (i, t) in driver.transfers().iter().enumerate() {
+        if t.from == node {
+            expected.packets += 1;
+            expected.exchanges += u64::from(i % 2 == 0);
+            if t.to != node {
+                expected.sends.push(t.to);
+            }
+        } else if t.to == node {
+            expected.expected.push(t.from);
+        }
+    }
+    assert_eq!(rejoined.schedule(rejoin), expected);
+    assert!(!expected.sends.is_empty(), "the node opens a channel every round");
 }
 
 /// Fault, retry and round-advance events are all visible through the

@@ -85,7 +85,7 @@ const STREAM_RUN: u64 = 0x0375_6e21;
 /// `(graph_seed, run_seed)`. Exposed so harnesses that compare a stepped
 /// [`run_scenario`] against a block `run_on_engine` (the `scenario_step`
 /// bench, equivalence tests) can run the block side on **exactly** the graph
-/// and RNG stream the stepped side uses.
+/// and draws the stepped side uses.
 pub fn scenario_engine_seeds(seed: u64) -> (u64, u64) {
     (derive_seed(seed, STREAM_GRAPH, 0), derive_seed(seed, STREAM_RUN, 0))
 }
@@ -98,7 +98,8 @@ pub fn scenario_engine_seeds(seed: u64) -> (u64, u64) {
 pub struct RuntimePlan {
     /// Seed for the topology generator (the graph stream of `seed`).
     pub graph_seed: u64,
-    /// Seed for every node's engine replica (the run stream of `seed`).
+    /// The engine seed every node keys its partner draws by (the run
+    /// stream of `seed`).
     pub run_seed: u64,
     /// The tracked rumor's source node.
     pub tracked: NodeId,
@@ -115,8 +116,8 @@ pub struct RuntimePlan {
 ///
 /// The runtime covers the **benign, classic, push-pull** slice of the
 /// scenario space — per-round lockstep equality with [`run_scenario_traced`]
-/// is only defined where the simulator's randomness is confined to the run
-/// stream every node actor replicates. Anything else (a phase-based or
+/// is only defined where the simulator's randomness is confined to the
+/// partner draws every node actor evaluates. Anything else (a phase-based or
 /// election protocol, a hostile environment, streaming injection) is
 /// rejected with a [`ScenarioError::Invalid`] naming the unsupported
 /// dimension; faults belong to the runtime's nemesis transport, not the

@@ -16,10 +16,17 @@
 //!    delivery worker threads;
 //! 2. property-based, for randomized scenarios drawn across topology,
 //!    protocol, environment and stop-rule space — the stop-rule dimension
-//!    covers the phase-based protocols too.
+//!    covers the phase-based protocols too;
+//! 3. for the draws themselves: every node's coin and partner in a round are
+//!    the same whatever order the nodes open their channels in, on both
+//!    engines, under churn, edge churn and `open-avoid`.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
+use rpc_engine::{Engine, Simulation, UnpackedSimulation};
+use rpc_graphs::NodeId;
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::registry;
 use rpc_scenarios::{run_scenario_unpacked, run_scenario_unpacked_traced};
@@ -168,5 +175,93 @@ proptest! {
                 prop_assert_eq!(packed.rounds, r);
             }
         }
+    }
+}
+
+/// The engine's dynamic conditions for one channel-opening round.
+#[derive(Clone, Debug)]
+struct DrawSetup {
+    round: u64,
+    departed: Vec<NodeId>,
+    edge_outage: Vec<NodeId>,
+    avoid: bool,
+}
+
+/// Every node flips a coin and then opens a channel, visiting nodes in
+/// `order`; returns `(coin, partner)` indexed by node.
+fn coins_and_partners<E: Engine>(
+    sim: &mut E,
+    setup: &DrawSetup,
+    order: &[NodeId],
+) -> Vec<(bool, Option<NodeId>)> {
+    for _ in 0..setup.round {
+        sim.metrics_mut().finish_round();
+    }
+    sim.kill_nodes(&setup.departed);
+    if !setup.edge_outage.is_empty() {
+        sim.schedule_edge_outage(setup.round, setup.edge_outage.clone());
+        sim.apply_due_events();
+    }
+    let mut out = vec![(false, None); sim.num_nodes()];
+    for &v in order {
+        let coin = sim.node_draws(v).gen_bool(0.5);
+        let partner = if setup.avoid {
+            // Avoid the first two neighbours, as a memory-model contact list
+            // would.
+            let avoid: Vec<NodeId> = sim.graph().neighbors(v).iter().take(2).copied().collect();
+            sim.open_channel_avoiding(v, &avoid)
+        } else {
+            sim.open_channel(v)
+        };
+        out[v as usize] = (coin, partner);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Channel opening does not depend on the order nodes are visited in,
+    /// and the packed and unpacked engines draw the same partners.
+    #[test]
+    fn partners_are_independent_of_visit_order_on_both_engines(
+        n in 16usize..90,
+        graph_seed in 0u64..1_000,
+        seed in 0u64..1_000_000,
+        round in 0u64..6,
+        departed_frac in proptest::option::of(0.05f64..0.6),
+        edge_frac in proptest::option::of(0.05f64..0.6),
+        avoid in any::<bool>(),
+        shuffle_seed in 0u64..1_000_000,
+    ) {
+        let graph = TopologySpec::ErdosRenyiPaper { n }.build().generate(graph_seed);
+        let mut rng = SmallRng::seed_from_u64(shuffle_seed);
+        let mut pick = |frac: Option<f64>, len: usize| -> Vec<NodeId> {
+            frac.map_or_else(Vec::new, |f| {
+                (0..len as NodeId).filter(|_| rng.gen_bool(f)).collect()
+            })
+        };
+        let setup = DrawSetup {
+            round,
+            departed: pick(departed_frac, n),
+            edge_outage: pick(edge_frac, graph.num_edge_slots()),
+            avoid,
+        };
+        let natural: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut permuted = natural.clone();
+        for i in (1..permuted.len()).rev() {
+            permuted.swap(i, rng.gen_range(0..=i));
+        }
+
+        let packed = coins_and_partners(&mut Simulation::new(&graph, seed), &setup, &natural);
+        let packed_permuted =
+            coins_and_partners(&mut Simulation::new(&graph, seed), &setup, &permuted);
+        let unpacked =
+            coins_and_partners(&mut UnpackedSimulation::new(&graph, seed), &setup, &natural);
+        let unpacked_permuted =
+            coins_and_partners(&mut UnpackedSimulation::new(&graph, seed), &setup, &permuted);
+        prop_assert_eq!(&packed, &packed_permuted);
+        prop_assert_eq!(&unpacked, &unpacked_permuted);
+        prop_assert_eq!(&packed, &unpacked);
     }
 }
