@@ -29,6 +29,25 @@ use rpc_graphs::prelude::*;
 
 const SEED: u64 = 0xC0FFEE;
 
+/// Safety cap on push-pull and broadcast rounds.
+const MAX_ROUNDS: usize = 10_000;
+
+/// Runs `driver` to completion on a fresh engine over `graph`; returns the
+/// rounds executed.
+fn run<D: ProtocolDriver>(mut driver: D, graph: &Graph) -> u64 {
+    let mut sim = Simulation::new(graph, SEED);
+    run_driver(&mut driver, &mut sim)
+}
+
+/// Push-pull broadcast of one rumor injected at node 0 in round 0 until every
+/// node knows it; returns the rumor transmissions.
+fn broadcast(graph: &Graph) -> u64 {
+    let mut sim = Simulation::new_streaming(graph, SEED, 1);
+    sim.schedule_injection(0, 0, 0);
+    run_driver(&mut BroadcastDriver::push_pull(MAX_ROUNDS), &mut sim);
+    sim.metrics().total_packets()
+}
+
 fn bench_table1_config(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_config");
     group.bench_function("paper_defaults_1e6", |b| {
@@ -47,13 +66,13 @@ fn bench_fig1_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1_overhead");
     group.sample_size(10);
     group.bench_function("push_pull", |b| {
-        b.iter(|| black_box(PushPullGossip::default().run(&graph, SEED)))
+        b.iter(|| black_box(run(PushPullDriver::new(MAX_ROUNDS), &graph)))
     });
     group.bench_function("fast_gossiping", |b| {
-        b.iter(|| black_box(FastGossiping::paper(n).run(&graph, SEED)))
+        b.iter(|| black_box(run(FastGossipingDriver::new(FastGossiping::paper(n), n), &graph)))
     });
     group.bench_function("memory", |b| {
-        b.iter(|| black_box(MemoryGossip::paper(n).run(&graph, SEED)))
+        b.iter(|| black_box(run(MemoryDriver::new(MemoryGossip::paper(n)), &graph)))
     });
     group.finish();
 }
@@ -66,7 +85,11 @@ fn bench_fig2_robustness_ratio(c: &mut Criterion) {
     group.sample_size(10);
     for failures in [0usize, 32, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(failures), &failures, |b, &failures| {
-            b.iter(|| black_box(algorithm.run_with_failures(&graph, SEED, failures)))
+            b.iter(|| {
+                black_box(
+                    algorithm.run_with_failures_on(&mut Simulation::new(&graph, SEED), failures),
+                )
+            })
         });
     }
     group.finish();
@@ -79,7 +102,7 @@ fn bench_fig4_fastgossip_detail(c: &mut Criterion) {
         let n = 1usize << exp;
         let graph = ErdosRenyi::paper_density(n).generate(SEED);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| black_box(FastGossiping::paper(n).run(&graph, SEED)))
+            b.iter(|| black_box(run(FastGossipingDriver::new(FastGossiping::paper(n), n), &graph)))
         });
     }
     group.finish();
@@ -116,10 +139,10 @@ fn bench_theorem1_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("theorem1_scaling");
     group.sample_size(10);
     group.bench_function("fast_gossiping_random", |b| {
-        b.iter(|| black_box(FastGossiping::paper(n).run(&random, SEED)))
+        b.iter(|| black_box(run(FastGossipingDriver::new(FastGossiping::paper(n), n), &random)))
     });
     group.bench_function("fast_gossiping_complete", |b| {
-        b.iter(|| black_box(FastGossiping::paper(n).run(&complete, SEED)))
+        b.iter(|| black_box(run(FastGossipingDriver::new(FastGossiping::paper(n), n), &complete)))
     });
     group.finish();
 }
@@ -131,13 +154,11 @@ fn bench_broadcast_vs_gossip(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadcast_vs_gossip");
     group.sample_size(10);
     group.bench_function("pushpull_broadcast_complete", |b| {
-        b.iter(|| black_box(PushPullBroadcast::default().run(&complete, SEED)))
+        b.iter(|| black_box(broadcast(&complete)))
     });
-    group.bench_function("pushpull_broadcast_random", |b| {
-        b.iter(|| black_box(PushPullBroadcast::default().run(&random, SEED)))
-    });
+    group.bench_function("pushpull_broadcast_random", |b| b.iter(|| black_box(broadcast(&random))));
     group.bench_function("pushpull_gossip_random", |b| {
-        b.iter(|| black_box(PushPullGossip::default().run(&random, SEED)))
+        b.iter(|| black_box(run(PushPullDriver::new(MAX_ROUNDS), &random)))
     });
     group.finish();
 }

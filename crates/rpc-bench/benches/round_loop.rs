@@ -16,7 +16,9 @@ use std::hint::black_box;
 
 use rpc_bench::round_loop::{build_topology, run_streaming, STREAM_RUMORS};
 use rpc_engine::{Engine, Simulation, UnpackedSimulation};
-use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
+use rpc_gossip::{
+    run_driver, FastGossiping, FastGossipingDriver, MemoryDriver, MemoryGossip, PushPullDriver,
+};
 
 const SEED: u64 = 0xC0FFEE;
 const MAX_ROUNDS: usize = 10_000;
@@ -30,14 +32,14 @@ fn bench_round_loop(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("packed", topology), &graph, |b, graph| {
             b.iter(|| {
                 let mut sim = Simulation::new(black_box(graph), SEED);
-                PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+                run_driver(&mut PushPullDriver::new(MAX_ROUNDS), &mut sim);
                 black_box(sim.metrics().rounds())
             })
         });
         group.bench_with_input(BenchmarkId::new("unpacked", topology), &graph, |b, graph| {
             b.iter(|| {
                 let mut sim = UnpackedSimulation::new(black_box(graph), SEED);
-                PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+                run_driver(&mut PushPullDriver::new(MAX_ROUNDS), &mut sim);
                 black_box(sim.metrics().rounds())
             })
         });
@@ -74,14 +76,14 @@ fn bench_fast_gossiping_round_loop(c: &mut Criterion) {
     group.bench_function("packed", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(black_box(&graph), SEED);
-            FastGossiping::paper(n).run_on_engine(&mut sim);
+            run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
     group.bench_function("unpacked", |b| {
         b.iter(|| {
             let mut sim = UnpackedSimulation::new(black_box(&graph), SEED);
-            FastGossiping::paper(n).run_on_engine(&mut sim);
+            run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
@@ -98,14 +100,14 @@ fn bench_memory_model_round_loop(c: &mut Criterion) {
     group.bench_function("packed", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(black_box(&graph), SEED);
-            MemoryGossip::paper(n).run_on_engine(&mut sim);
+            run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
     group.bench_function("unpacked", |b| {
         b.iter(|| {
             let mut sim = UnpackedSimulation::new(black_box(&graph), SEED);
-            MemoryGossip::paper(n).run_on_engine(&mut sim);
+            run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
@@ -124,7 +126,7 @@ fn bench_round_loop_churny(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = Simulation::new(&graph, SEED);
             sim.kill_nodes(black_box(&departed));
-            PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+            run_driver(&mut PushPullDriver::new(MAX_ROUNDS), &mut sim);
             black_box(sim.metrics().rounds())
         })
     });

@@ -1,18 +1,19 @@
-//! `scenario_step`: the step-driven scenario executor vs the block protocol
-//! loop.
+//! `scenario_step`: the step-driven scenario executor vs a bare driver run.
 //!
 //! The scenario engine drives every protocol one round at a time through
 //! `rpc_gossip::ProtocolDriver`, evaluating the stop rule between rounds.
-//! These benches make the stepper's overhead visible against the block
-//! `run_on_engine` loop (which is itself a thin loop over the same driver,
-//! minus the per-round stop-rule evaluation and executor bookkeeping). Both
-//! sides regenerate the graph per iteration so the comparison is
-//! apples-to-apples.
+//! These benches make the stepper's overhead visible against a bare
+//! `rpc_gossip::run_driver` over the same driver (no per-round stop-rule
+//! evaluation or executor bookkeeping). Both sides regenerate the graph per
+//! iteration so the comparison is apples-to-apples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rpc_engine::Simulation;
+use rpc_gossip::{
+    run_driver, FastGossiping, FastGossipingDriver, MemoryDriver, MemoryGossip, PushPullDriver,
+};
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::scenario_engine_seeds;
 
@@ -37,13 +38,23 @@ fn bench_scenario_step(c: &mut Criterion) {
             |b, scenario| b.iter(|| black_box(run_scenario(black_box(scenario), SEED, 1).rounds)),
         );
         group.bench_with_input(
-            BenchmarkId::new("block", protocol.name()),
+            BenchmarkId::new("bare", protocol.name()),
             &scenario,
             |b, scenario| {
                 b.iter(|| {
                     let graph = scenario.topology.build().generate(graph_seed);
                     let mut sim = Simulation::new(black_box(&graph), run_seed);
-                    black_box(protocol.run_on_engine(n, &mut sim).rounds())
+                    black_box(match protocol {
+                        ProtocolSpec::PushPull => run_driver(
+                            &mut PushPullDriver::new(scenario.max_rounds as usize),
+                            &mut sim,
+                        ),
+                        ProtocolSpec::FastGossiping => run_driver(
+                            &mut FastGossipingDriver::new(FastGossiping::paper(n), n),
+                            &mut sim,
+                        ),
+                        _ => run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), &mut sim),
+                    })
                 })
             },
         );

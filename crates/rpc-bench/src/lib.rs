@@ -49,7 +49,9 @@ pub mod round_loop {
     use std::time::Instant;
 
     use rpc_engine::{Engine, MessageId, Simulation, UnpackedSimulation};
-    use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
+    use rpc_gossip::{
+        run_driver, FastGossiping, FastGossipingDriver, MemoryDriver, MemoryGossip, PushPullDriver,
+    };
     use rpc_graphs::log2n;
     use rpc_graphs::prelude::*;
 
@@ -80,13 +82,13 @@ pub mod round_loop {
         let n = sim.num_nodes();
         match protocol {
             "push-pull" => {
-                PushPullGossip::run_until_complete(sim, MAX_ROUNDS);
+                run_driver(&mut PushPullDriver::new(MAX_ROUNDS), sim);
             }
             "fast-gossiping" => {
-                FastGossiping::paper(n).run_on_engine(sim);
+                run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), sim);
             }
             "memory" => {
-                MemoryGossip::paper(n).run_on_engine(sim);
+                run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), sim);
             }
             STREAM_PROTOCOL => run_streaming(sim),
             other => panic!("unknown benchmark protocol: {other}"),
@@ -95,16 +97,15 @@ pub mod round_loop {
 
     /// Registers the streaming row's deterministic injection schedule (no
     /// RNG draws — the same staggered arrivals on every engine and rep) and
-    /// runs push-pull until every rumor has completed or the safety cap.
+    /// runs push-pull until every rumor has completed (every node knows the
+    /// whole rumor universe) or the safety cap.
     pub fn run_streaming<E: Engine>(sim: &mut E) {
         let n = sim.num_nodes();
         for m in 0..STREAM_RUMORS {
             sim.schedule_injection((m / 2) as u64, ((m * 97) % n) as NodeId, m as MessageId);
         }
         sim.track_message(0);
-        PushPullGossip::run_until(sim, MAX_ROUNDS, |sim: &E| {
-            (0..STREAM_RUMORS).all(|m| sim.rumor_complete(m as MessageId))
-        });
+        run_driver(&mut PushPullDriver::new(MAX_ROUNDS), sim);
     }
 
     /// Builds the engine a protocol row runs on: streaming rows get a

@@ -88,7 +88,7 @@ mod tests {
                 [DeliverySemantics::Deferred, DeliverySemantics::Immediate].into_iter().enumerate()
             {
                 let mut sim = Simulation::new(&graph, seed).with_semantics(semantics);
-                let steps = PushPullGossip::run_until_complete(&mut sim, 10_000);
+                let steps = run_driver(&mut PushPullDriver::new(10_000), &mut sim);
                 if idx == 0 {
                     totals.0 += steps as f64;
                 } else {

@@ -18,8 +18,7 @@
 //!   ablation    Fast-gossiping parameter tuning
 //!   phases      Per-phase packet breakdown
 //!   scenario    Built-in scenario registry as one sweep
-//!   sweep       Every sweep-backed experiment above (respects --only)
-//!   all         sweep + separation
+//!   sweep       Every experiment above (respects --only)
 //!   profile     Aggregate a recorded trace into a per-cell timing table
 //!   node        Serve one gossip node over JSON lines on stdin/stdout
 //!   cluster     Run a scenario as an in-process node cluster under a nemesis
@@ -69,7 +68,7 @@ use std::process::ExitCode;
 
 use rpc_experiments::{
     ablation, fig1, fig4, phases, profile, report::Table, robustness, scenario, separation, table1,
-    theory_check, RunOpts,
+    theory_check, RunOpts, SWEEP_EXPERIMENTS,
 };
 use rpc_obs::TraceWriter;
 use rpc_runtime::{
@@ -192,8 +191,9 @@ fn run_theory(opts: &RunOpts) {
 
 fn run_separation(opts: &RunOpts) {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n.min(1 << 14));
-    let points = separation::run(&sizes, opts.scale.repetitions, opts.scale.seed);
-    emit(&separation::table(&points), "separation_broadcast_vs_gossip", None, opts);
+    let spec = separation::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
+    let report = opts.run_spec(&spec);
+    emit(&separation::table(&report), "separation_broadcast_vs_gossip", Some(&report), opts);
 }
 
 fn run_ablation(opts: &RunOpts) {
@@ -230,29 +230,28 @@ fn run_scenarios(opts: &RunOpts) {
     emit(&scenario::table(&report), "scenarios", Some(&report), opts);
 }
 
-/// The sweep-backed experiments in `sweep`/`all` execution order. `table1`
-/// rides along (constants only, no spec); `separation` is the one simulation
-/// experiment outside the engine and runs only under `all` or its own
-/// subcommand.
-type NamedExperiment = (&'static str, fn(&RunOpts));
-
-const SWEEP_EXPERIMENTS: &[NamedExperiment] = &[
-    ("table1", run_table1),
-    ("fig1", run_fig1),
-    ("fig2", run_fig2),
-    ("fig3", run_fig3),
-    ("fig4", run_fig4),
-    ("fig5", run_fig5),
-    ("theory", run_theory),
-    ("ablation", run_ablation),
-    ("phases", run_phases),
-    ("scenario", run_scenarios),
-];
+/// The runner of a [`SWEEP_EXPERIMENTS`] name (each is also a subcommand).
+fn experiment(name: &str) -> Option<fn(&RunOpts)> {
+    Some(match name {
+        "table1" => run_table1,
+        "fig1" => run_fig1,
+        "fig2" => run_fig2,
+        "fig3" => run_fig3,
+        "fig4" => run_fig4,
+        "fig5" => run_fig5,
+        "theory" => run_theory,
+        "separation" => run_separation,
+        "ablation" => run_ablation,
+        "phases" => run_phases,
+        "scenario" => run_scenarios,
+        _ => return None,
+    })
+}
 
 fn run_sweep(opts: &RunOpts) {
-    for (name, run) in SWEEP_EXPERIMENTS {
+    for name in SWEEP_EXPERIMENTS {
         if opts.should_run(name) {
-            run(opts);
+            experiment(name).expect("every sweep experiment has a runner")(opts);
         }
     }
 }
@@ -433,25 +432,12 @@ fn main() -> ExitCode {
     if command != "profile" {
         truncate_trace(&opts);
     }
+    if let Some(run) = experiment(&command) {
+        run(&opts);
+        return ExitCode::SUCCESS;
+    }
     match command.as_str() {
-        "table1" => run_table1(&opts),
-        "fig1" => run_fig1(&opts),
-        "fig2" => run_fig2(&opts),
-        "fig3" => run_fig3(&opts),
-        "fig4" => run_fig4(&opts),
-        "fig5" => run_fig5(&opts),
-        "theory" => run_theory(&opts),
-        "separation" => run_separation(&opts),
-        "ablation" => run_ablation(&opts),
-        "phases" => run_phases(&opts),
-        "scenario" => run_scenarios(&opts),
         "sweep" => run_sweep(&opts),
-        "all" => {
-            run_sweep(&opts);
-            if opts.should_run("separation") {
-                run_separation(&opts);
-            }
-        }
         "profile" => {
             if let Err(e) = run_profile(&opts) {
                 eprintln!("error: {e}");
@@ -461,7 +447,7 @@ fn main() -> ExitCode {
         "help" | "--help" | "-h" => {
             println!(
                 "usage: experiments \
-                 <table1|fig1|fig2|fig3|fig4|fig5|theory|separation|ablation|phases|scenario|sweep|all|profile> \
+                 <table1|fig1|fig2|fig3|fig4|fig5|theory|separation|ablation|phases|scenario|sweep|profile> \
                  [--quick|--large] [--max-n N] [--reps K] [--max-reps K] [--ci-rel T] \
                  [--seed S] [--threads T] [--out DIR] [--cache FILE] [--only NAME]... \
                  [--trace-out FILE] [--profile]\n       \
@@ -476,4 +462,17 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_sweep_experiment_has_a_runner() {
+        for name in SWEEP_EXPERIMENTS {
+            assert!(experiment(name).is_some(), "no runner for {name}");
+        }
+        assert!(experiment("sweep").is_none() && experiment("all").is_none());
+    }
 }

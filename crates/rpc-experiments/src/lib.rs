@@ -24,10 +24,10 @@
 //! | Per-phase packet breakdown | [`phases`] | `phases` |
 //! | Scenario registry (churn/loss/crash workloads) | [`scenario`] | `scenario` |
 //!
-//! The `sweep` subcommand runs every sweep-backed experiment in one go,
-//! sharing a cell cache so interrupted runs resume where they stopped.
-//! [`table1`] samples no randomness (constants only) and [`separation`] drives
-//! a protocol without a stepper, so those two stay outside the sweep engine.
+//! The `sweep` subcommand runs every experiment of [`SWEEP_EXPERIMENTS`] in
+//! one go, sharing a cell cache so interrupted runs resume where they
+//! stopped. [`table1`] samples no randomness (constants only) and rides along
+//! without a spec.
 //!
 //! The default sizes are scaled to laptop hardware (the paper used four
 //! 64-core machines with 512 GB–1 TB of RAM and graphs up to 10⁶ nodes; see
@@ -51,6 +51,22 @@ pub mod theory_check;
 
 pub use opts::RunOpts;
 pub use report::Table;
+
+/// The experiments the `sweep` subcommand runs, in execution order — also
+/// the names `--only` accepts. Each is a subcommand of its own as well.
+pub const SWEEP_EXPERIMENTS: [&str; 11] = [
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "theory",
+    "separation",
+    "ablation",
+    "phases",
+    "scenario",
+];
 
 /// Scale of an experiment run: how large the graphs are and how many
 /// repetitions are averaged.

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use rpc_obs::{ProgressReporter, TraceWriter};
 use rpc_scenarios::{CiStopRule, RepPolicy, SweepReport, SweepRunner, SweepSpec};
 
-use crate::Scale;
+use crate::{Scale, SWEEP_EXPERIMENTS};
 
 /// Options shared by every experiment subcommand.
 #[derive(Clone, Debug)]
@@ -32,7 +32,7 @@ pub struct RunOpts {
     pub max_reps: Option<usize>,
     /// `--ci-rel T`: relative CI half-width tolerance (default 0.1).
     pub ci_rel: Option<f64>,
-    /// `--only NAME` (repeatable): restrict `sweep`/`all` to these experiments.
+    /// `--only NAME` (repeatable): restrict `sweep` to these experiments.
     pub only: Vec<String>,
     /// `--trace-out FILE`: write the observability event stream (JSON lines)
     /// to this file. Implies tracing even without `--profile`.
@@ -62,7 +62,8 @@ impl Default for RunOpts {
 
 impl RunOpts {
     /// Parses the flag list (everything after the subcommand). Returns a
-    /// human-readable error for unknown flags or malformed values.
+    /// human-readable error for unknown flags, malformed values and `--only`
+    /// names outside [`SWEEP_EXPERIMENTS`].
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut args = args.into_iter();
@@ -82,7 +83,16 @@ impl RunOpts {
                 "--cache" => {
                     opts.cache = Some(PathBuf::from(required(&arg, args.next())?));
                 }
-                "--only" => opts.only.push(required(&arg, args.next())?),
+                "--only" => {
+                    let name = required(&arg, args.next())?;
+                    if !SWEEP_EXPERIMENTS.contains(&name.as_str()) {
+                        return Err(format!(
+                            "--only: unknown experiment `{name}` (valid: {})",
+                            SWEEP_EXPERIMENTS.join(", ")
+                        ));
+                    }
+                    opts.only.push(name);
+                }
                 "--trace-out" => {
                     opts.trace_out = Some(PathBuf::from(required(&arg, args.next())?));
                 }
@@ -236,6 +246,15 @@ mod tests {
         assert!(opts.should_run("fig1") && opts.should_run("table1"));
         assert!(!opts.should_run("fig2"));
         assert!(parse(&[]).should_run("fig2"));
+    }
+
+    #[test]
+    fn only_rejects_unknown_experiment_names() {
+        let err = RunOpts::parse(["--only".to_string(), "fig-1".to_string()]).unwrap_err();
+        assert!(err.contains("fig-1"), "{err}");
+        for name in SWEEP_EXPERIMENTS {
+            assert!(err.contains(name), "valid name {name} missing from: {err}");
+        }
     }
 
     #[test]

@@ -8,23 +8,57 @@
 //! `p ≥ log^{2+ε} n / n`.
 //!
 //! This experiment measures both, per topology, so the contrast can be read
-//! off one table: the broadcast ratio (random / complete) grows with `n`,
-//! while the gossiping ratio stays near 1.
+//! off one table: asymptotically the broadcast ratio (random / complete)
+//! grows with `n`, while the gossiping ratio stays near 1. The broadcast
+//! separation is an asymptotic statement; up to n = 8192 both ratios stay
+//! within about 10 % of 1, and the JSON report's per-cell CIs say how far a
+//! given run resolves them.
 //!
-//! This is the one simulation experiment *not* expressed as a sweep spec:
-//! [`PushPullBroadcast`] has no [`rpc_gossip::ProtocolDriver`], so its runs go
-//! through the block-run oracle API rather than the scenario stepper, and the
-//! whole experiment stays a bespoke loop with its own seed schedule.
+//! The sweep is a grid `n × topology × protocol`. The broadcast cells run
+//! push-pull broadcasting of one rumor injected at node 0 in round 0 (the
+//! registry's `broadcast-push-pull` workload) until it has reached every
+//! node; the gossip cells run fast-gossiping to completion. The adaptive CI
+//! stop watches `packets_per_node`, which is the per-node overhead compared
+//! in the table.
 
-use rpc_engine::{derive_seed, Accounting};
-use rpc_gossip::prelude::*;
-use rpc_graphs::prelude::*;
+use std::collections::BTreeMap;
+
+use rpc_scenarios::{
+    CellJob, InjectionEntry, ProtocolSpec, RepPolicy, Scenario, StopRule, SweepReport, SweepSpec,
+    TopologySpec,
+};
 
 use crate::report::{fmt3, Table};
 
-/// The per-repetition seed schedule of this experiment.
-fn seeds(base_seed: u64, repetitions: usize) -> Vec<u64> {
-    (0..repetitions as u64).map(|i| derive_seed(base_seed, 0, i)).collect()
+/// The two topology axis values: `K_n` and `G(n, log² n / n)`.
+pub const TOPOLOGIES: [&str; 2] = ["complete", "er-paper"];
+
+/// The two protocol axis values: broadcasting and gossiping.
+pub const PROTOCOLS: [&str; 2] = ["broadcast-push-pull", "fast-gossiping"];
+
+/// The separation sweep: every size on both topologies with both protocols.
+pub fn spec(sizes: &[usize], seed: u64, policy: RepPolicy) -> SweepSpec {
+    SweepSpec::grid("separation", seed, policy)
+        .axis("n", sizes.iter().copied())
+        .axis("topology", TOPOLOGIES)
+        .axis("protocol", PROTOCOLS)
+        .cells(|point| {
+            let n: usize = point.parse("n");
+            let topology = match point.get("topology") {
+                "complete" => TopologySpec::Complete { n },
+                _ => TopologySpec::ErdosRenyiPaper { n },
+            };
+            let builder = Scenario::builder("separation", topology);
+            let builder = match point.get("protocol") {
+                "broadcast-push-pull" => builder
+                    .protocol(ProtocolSpec::BroadcastPushPull)
+                    .inject_explicit(vec![InjectionEntry { round: 0, source: 0 }])
+                    .stop(StopRule::AllRumors),
+                _ => builder.protocol(ProtocolSpec::FastGossiping),
+            };
+            Some(CellJob::scenario(builder.build().expect("separation scenario is valid")))
+        })
+        .expect("separation grid is well-formed")
 }
 
 /// One measured point of the separation experiment.
@@ -54,38 +88,38 @@ impl SeparationPoint {
     }
 }
 
-/// Runs the separation experiment for the given sizes.
-pub fn run(sizes: &[usize], repetitions: usize, base_seed: u64) -> Vec<SeparationPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let er = ErdosRenyi::paper_density(n);
-        let kn = CompleteGraph::new(n);
-        let mut sums = [0.0f64; 4];
-        let run_seeds = seeds(base_seed, repetitions);
-        for (i, &seed) in run_seeds.iter().enumerate() {
-            let random = er.generate(seed ^ ((i as u64) << 32));
-            let complete = kn.generate(seed);
-            let broadcast = PushPullBroadcast::default();
-            sums[0] += broadcast.run(&complete, seed).transmissions_per_node(n);
-            sums[1] += broadcast.run(&random, seed).transmissions_per_node(n);
-            let gossip = FastGossiping::paper(n);
-            sums[2] += gossip.run(&complete, seed).messages_per_node(Accounting::PerPacket);
-            sums[3] += gossip.run(&random, seed).messages_per_node(Accounting::PerPacket);
-        }
-        let reps = repetitions.max(1) as f64;
-        points.push(SeparationPoint {
-            n,
-            broadcast_complete: sums[0] / reps,
-            broadcast_random: sums[1] / reps,
-            gossip_complete: sums[2] / reps,
-            gossip_random: sums[3] / reps,
-        });
+/// Folds the sweep report into one point per size, in size order.
+pub fn points(report: &SweepReport) -> Vec<SeparationPoint> {
+    // Per size: broadcast on K_n, broadcast on G(n, p), gossip on K_n, gossip
+    // on G(n, p).
+    let mut overheads: BTreeMap<usize, [f64; 4]> = BTreeMap::new();
+    for cell in &report.cells {
+        let n: usize =
+            cell.axis("n").and_then(|v| v.parse().ok()).expect("separation cells carry `n`");
+        let slot = match (cell.axis("protocol"), cell.axis("topology")) {
+            (Some("broadcast-push-pull"), Some("complete")) => 0,
+            (Some("broadcast-push-pull"), _) => 1,
+            (_, Some("complete")) => 2,
+            _ => 3,
+        };
+        overheads.entry(n).or_default()[slot] = cell.mean("packets_per_node").unwrap_or(0.0);
     }
-    points
+    overheads
+        .into_iter()
+        .map(|(n, [broadcast_complete, broadcast_random, gossip_complete, gossip_random])| {
+            SeparationPoint {
+                n,
+                broadcast_complete,
+                broadcast_random,
+                gossip_complete,
+                gossip_random,
+            }
+        })
+        .collect()
 }
 
-/// Renders the separation points as a table.
-pub fn table(points: &[SeparationPoint]) -> Table {
+/// Renders the separation sweep as one row per size.
+pub fn table(report: &SweepReport) -> Table {
     let mut table = Table::new(
         "Broadcast vs gossip — per-node overhead on complete vs random graphs",
         &[
@@ -98,7 +132,7 @@ pub fn table(points: &[SeparationPoint]) -> Table {
             "gossip_ratio",
         ],
     );
-    for p in points {
+    for p in points(report) {
         table.push_row(vec![
             p.n.to_string(),
             fmt3(p.broadcast_complete),
@@ -115,10 +149,14 @@ pub fn table(points: &[SeparationPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpc_scenarios::SweepRunner;
 
     #[test]
     fn gossip_ratio_is_close_to_one() {
-        let points = run(&[512], 1, 4);
+        let report = SweepRunner::new().run(&spec(&[512], 4, RepPolicy::fixed(1)));
+        assert_eq!(report.cells.len(), 4);
+        assert!(report.cells.iter().all(|c| c.mean("completed") == Some(1.0)));
+        let points = points(&report);
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert!(
@@ -127,6 +165,6 @@ mod tests {
             p.gossip_ratio()
         );
         assert!(p.broadcast_complete > 0.0 && p.broadcast_random > 0.0);
-        assert_eq!(table(&points).len(), 1);
+        assert_eq!(table(&report).len(), 1);
     }
 }

@@ -105,6 +105,51 @@ fn scenario_quick_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn separation_is_a_sweep_that_honours_reps_and_threads() {
+    let mut csvs = Vec::new();
+    for threads in ["1", "2"] {
+        let out_dir = scratch_dir(&format!("separation-t{threads}"));
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["separation", "--quick", "--max-n", "2048", "--reps", "2"])
+            .args(["--threads", threads, "--out"])
+            .arg(&out_dir)
+            .output()
+            .expect("experiments binary should spawn");
+        assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+
+        let csv = out_dir.join("separation_broadcast_vs_gossip.csv");
+        let contents = std::fs::read_to_string(&csv)
+            .unwrap_or_else(|e| panic!("expected CSV at {}: {e}", csv.display()));
+        assert_eq!(contents.lines().count(), 3, "expected a header and two sizes:\n{contents}");
+        let json = out_dir.join("separation_broadcast_vs_gossip.json");
+        let report = std::fs::read_to_string(&json)
+            .unwrap_or_else(|e| panic!("expected JSON at {}: {e}", json.display()));
+        // Two sizes × two topologies × two protocols, two repetitions each.
+        assert!(report.contains("\"executed_reps\":16"), "expected 16 reps:\n{report}");
+        csvs.push(contents);
+        std::fs::remove_dir_all(&out_dir).ok();
+    }
+    assert_eq!(csvs[0], csvs[1], "separation CSV must not depend on --threads");
+}
+
+#[test]
+fn only_with_an_unknown_experiment_fails_and_lists_the_valid_names() {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["sweep", "--quick", "--only", "fig-1"])
+        .output()
+        .expect("experiments binary should spawn");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("fig-1"), "stderr: {stderr}");
+    assert!(stderr.contains("fig1") && stderr.contains("separation"), "stderr: {stderr}");
+    assert!(
+        output.stdout.is_empty(),
+        "nothing may run: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
+#[test]
 fn unknown_subcommand_fails_with_message() {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("no-such-figure")

@@ -5,43 +5,14 @@
 //! push-pull broadcasting in complete graphs needs only `O(n log log n)`
 //! transmissions, while Elsässer (SPAA'06) showed this bound cannot be
 //! achieved in sparse random graphs. Gossiping, by the paper's main result,
-//! shows *no* such density separation. These two baselines let the experiment
-//! harness reproduce that motivating contrast.
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+//! shows *no* such density separation. The [`BroadcastDriver`]'s two modes
+//! (push and push-pull) let the experiment harness reproduce that motivating
+//! contrast.
 
 use rpc_engine::{Engine, Transfer};
-use rpc_graphs::{Graph, NodeId};
+use rpc_graphs::NodeId;
 
 use crate::runner::{ProtocolDriver, StepStatus};
-
-/// Result of one broadcast run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BroadcastOutcome {
-    /// Number of synchronous rounds executed.
-    pub rounds: u64,
-    /// Number of times the rumor was transmitted over a channel.
-    pub transmissions: u64,
-    /// Number of channels opened.
-    pub channels_opened: u64,
-    /// Number of informed nodes at the end.
-    pub informed: usize,
-    /// Whether every node was informed.
-    pub completed: bool,
-}
-
-impl BroadcastOutcome {
-    /// Rumor transmissions divided by `n` — the per-node communication
-    /// overhead of broadcasting a single message.
-    pub fn transmissions_per_node(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.transmissions as f64 / n as f64
-        }
-    }
-}
 
 /// Which broadcasting discipline a [`BroadcastDriver`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,17 +26,17 @@ pub enum BroadcastMode {
 
 /// The resumable [`ProtocolDriver`] for the broadcasting baselines, run on a
 /// *streaming* engine: the rumor(s) enter via scheduled injection, nodes
-/// start empty, and "informed" means a non-empty message set. Unlike the
-/// standalone [`PushBroadcast`] / [`PushPullBroadcast`] (which own their RNG
-/// and graph walk), the driver goes through the [`Engine`] primitives, so
-/// broadcasting composes with stop rules, hostile environments and the
-/// packed/unpacked equivalence suites exactly like the gossiping protocols —
-/// this is the paper's broadcast-vs-gossip density contrast made runnable
-/// under the scenario engine.
+/// start empty, and "informed" means a non-empty message set. The driver goes
+/// through the [`Engine`] primitives, so broadcasting composes with stop
+/// rules, hostile environments and the packed/unpacked equivalence suites
+/// exactly like the gossiping protocols — this is the paper's
+/// broadcast-vs-gossip density contrast made runnable under the scenario
+/// engine. Its natural termination is completion: every participating node
+/// knows every injected rumor.
 ///
-/// Accounting mirrors the baselines: one channel exchange per opener, one
-/// packet per actual rumor transmission (informed side only) — uninformed
-/// sides of a push-pull channel transmit nothing.
+/// Accounting follows the paper's related-work discussion: one channel
+/// exchange per opener, one packet per actual rumor transmission (informed
+/// side only) — uninformed sides of a push-pull channel transmit nothing.
 #[derive(Clone, Debug)]
 pub struct BroadcastDriver {
     mode: BroadcastMode,
@@ -88,11 +59,6 @@ impl BroadcastDriver {
     /// Push-pull broadcasting.
     pub fn push_pull(max_rounds: usize) -> Self {
         Self::new(BroadcastMode::PushPull, max_rounds)
-    }
-
-    /// Rounds executed so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 }
 
@@ -154,161 +120,54 @@ impl ProtocolDriver for BroadcastDriver {
     }
 }
 
-/// Push-only broadcast: in every round every informed node sends the rumor to
-/// a uniformly random neighbour (Pittel; Feige et al.).
-#[derive(Clone, Copy, Debug)]
-pub struct PushBroadcast {
-    /// The node initially holding the rumor.
-    pub source: NodeId,
-    /// Safety cap on the number of rounds.
-    pub max_rounds: usize,
-}
-
-impl Default for PushBroadcast {
-    fn default() -> Self {
-        Self { source: 0, max_rounds: 10_000 }
-    }
-}
-
-impl PushBroadcast {
-    /// Runs the broadcast on `graph`.
-    pub fn run(&self, graph: &Graph, seed: u64) -> BroadcastOutcome {
-        let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
-        let mut informed = vec![false; n];
-        if n == 0 {
-            return BroadcastOutcome {
-                rounds: 0,
-                transmissions: 0,
-                channels_opened: 0,
-                informed: 0,
-                completed: true,
-            };
-        }
-        informed[self.source as usize] = true;
-        let mut informed_count = 1usize;
-        let mut rounds = 0u64;
-        let mut transmissions = 0u64;
-        let mut channels = 0u64;
-        while informed_count < n && (rounds as usize) < self.max_rounds {
-            let mut newly: Vec<NodeId> = Vec::new();
-            for v in 0..n as NodeId {
-                if !informed[v as usize] {
-                    continue;
-                }
-                if let Some(u) = graph.random_neighbor(v, &mut rng) {
-                    channels += 1;
-                    transmissions += 1;
-                    if !informed[u as usize] {
-                        newly.push(u);
-                    }
-                }
-            }
-            for u in newly {
-                if !informed[u as usize] {
-                    informed[u as usize] = true;
-                    informed_count += 1;
-                }
-            }
-            rounds += 1;
-        }
-        BroadcastOutcome {
-            rounds,
-            transmissions,
-            channels_opened: channels,
-            informed: informed_count,
-            completed: informed_count == n,
-        }
-    }
-}
-
-/// Push-pull broadcast (Karp et al.): in every round *every* node opens a
-/// channel to a random neighbour; the rumor travels over the channel in
-/// whichever direction is possible. Only actual rumor transmissions are
-/// counted, matching the communication-complexity accounting of the paper's
-/// related-work discussion.
-#[derive(Clone, Copy, Debug)]
-pub struct PushPullBroadcast {
-    /// The node initially holding the rumor.
-    pub source: NodeId,
-    /// Safety cap on the number of rounds.
-    pub max_rounds: usize,
-}
-
-impl Default for PushPullBroadcast {
-    fn default() -> Self {
-        Self { source: 0, max_rounds: 10_000 }
-    }
-}
-
-impl PushPullBroadcast {
-    /// Runs the broadcast on `graph`.
-    pub fn run(&self, graph: &Graph, seed: u64) -> BroadcastOutcome {
-        let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut informed = vec![false; n];
-        if n == 0 {
-            return BroadcastOutcome {
-                rounds: 0,
-                transmissions: 0,
-                channels_opened: 0,
-                informed: 0,
-                completed: true,
-            };
-        }
-        informed[self.source as usize] = true;
-        let mut informed_count = 1usize;
-        let mut rounds = 0u64;
-        let mut transmissions = 0u64;
-        let mut channels = 0u64;
-        while informed_count < n && (rounds as usize) < self.max_rounds {
-            let mut newly: Vec<NodeId> = Vec::new();
-            for v in 0..n as NodeId {
-                let Some(u) = graph.random_neighbor(v, &mut rng) else { continue };
-                channels += 1;
-                // Push: the caller sends the rumor if it has it.
-                if informed[v as usize] {
-                    transmissions += 1;
-                    if !informed[u as usize] {
-                        newly.push(u);
-                    }
-                }
-                // Pull: the callee sends the rumor back if it has it.
-                if informed[u as usize] {
-                    transmissions += 1;
-                    if !informed[v as usize] {
-                        newly.push(v);
-                    }
-                }
-            }
-            for u in newly {
-                if !informed[u as usize] {
-                    informed[u as usize] = true;
-                    informed_count += 1;
-                }
-            }
-            rounds += 1;
-        }
-        BroadcastOutcome {
-            rounds,
-            transmissions,
-            channels_opened: channels,
-            informed: informed_count,
-            completed: informed_count == n,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_driver;
+    use rpc_engine::Simulation;
     use rpc_graphs::prelude::*;
+
+    /// Safety cap on broadcast rounds.
+    const MAX_ROUNDS: usize = 10_000;
+
+    /// The result of one single-rumor broadcast.
+    struct Broadcast {
+        rounds: u64,
+        transmissions: u64,
+        informed: usize,
+        completed: bool,
+    }
+
+    /// Injects one rumor at `source` in round 0 and runs `driver` on a
+    /// streaming engine until every node knows it (or the round cap).
+    fn broadcast(mut driver: BroadcastDriver, g: &Graph, source: NodeId, seed: u64) -> Broadcast {
+        let n = g.num_nodes();
+        let mut sim = Simulation::new_streaming(g, seed, 1);
+        if n > 0 {
+            sim.schedule_injection(0, source, 0);
+        }
+        let rounds = run_driver(&mut driver, &mut sim);
+        Broadcast {
+            rounds,
+            transmissions: sim.metrics().total_packets(),
+            informed: (0..n as NodeId).filter(|&v| !sim.state(v).is_empty()).count(),
+            completed: sim.gossip_complete(),
+        }
+    }
+
+    fn push(g: &Graph, seed: u64) -> Broadcast {
+        broadcast(BroadcastDriver::push(MAX_ROUNDS), g, 0, seed)
+    }
+
+    fn push_pull(g: &Graph, seed: u64) -> Broadcast {
+        broadcast(BroadcastDriver::push_pull(MAX_ROUNDS), g, 0, seed)
+    }
 
     #[test]
     fn push_broadcast_informs_everyone_on_complete_graph() {
         let n = 1024;
         let g = CompleteGraph::new(n).generate(0);
-        let outcome = PushBroadcast::default().run(&g, 1);
+        let outcome = push(&g, 1);
         assert!(outcome.completed);
         assert_eq!(outcome.informed, n);
     }
@@ -322,7 +181,7 @@ mod tests {
         let mut total = 0.0;
         let runs = 3;
         for seed in 0..runs {
-            let outcome = PushBroadcast::default().run(&g, seed);
+            let outcome = push(&g, seed);
             assert!(outcome.completed);
             total += outcome.rounds as f64;
         }
@@ -337,8 +196,8 @@ mod tests {
     fn push_pull_broadcast_is_faster_than_push_alone() {
         let n = 4096;
         let g = CompleteGraph::new(n).generate(0);
-        let push = PushBroadcast::default().run(&g, 3);
-        let push_pull = PushPullBroadcast::default().run(&g, 3);
+        let push = push(&g, 3);
+        let push_pull = push_pull(&g, 3);
         assert!(push_pull.completed && push.completed);
         assert!(push_pull.rounds < push.rounds);
     }
@@ -349,9 +208,9 @@ mod tests {
         // overhead stays far below log n.
         let n = 8192;
         let g = CompleteGraph::new(n).generate(0);
-        let outcome = PushPullBroadcast::default().run(&g, 4);
+        let outcome = push_pull(&g, 4);
         assert!(outcome.completed);
-        let per_node = outcome.transmissions_per_node(n);
+        let per_node = outcome.transmissions as f64 / n as f64;
         let loglog = (n as f64).log2().log2();
         assert!(
             per_node < 2.5 * loglog,
@@ -364,14 +223,14 @@ mod tests {
     fn broadcasts_complete_on_paper_density_random_graphs() {
         let n = 2048;
         let g = ErdosRenyi::paper_density(n).generate(5);
-        assert!(PushBroadcast::default().run(&g, 6).completed);
-        assert!(PushPullBroadcast::default().run(&g, 6).completed);
+        assert!(push(&g, 6).completed);
+        assert!(push_pull(&g, 6).completed);
     }
 
     #[test]
     fn respects_round_caps() {
         let g = ring(256);
-        let outcome = PushBroadcast { source: 0, max_rounds: 5 }.run(&g, 7);
+        let outcome = broadcast(BroadcastDriver::push(5), &g, 0, 7);
         assert!(!outcome.completed);
         assert_eq!(outcome.rounds, 5);
         assert!(outcome.informed <= 11); // at most 2 new nodes per round on a ring
@@ -380,7 +239,7 @@ mod tests {
     #[test]
     fn source_parameter_is_respected() {
         let g = star(16);
-        let outcome = PushBroadcast { source: 5, max_rounds: 2000 }.run(&g, 8);
+        let outcome = broadcast(BroadcastDriver::push(2000), &g, 5, 8);
         assert!(outcome.completed);
         // Leaf source: first round informs the hub, then the hub informs one
         // random leaf per round (coupon collector) — so the run takes many
@@ -390,7 +249,6 @@ mod tests {
 
     #[test]
     fn driver_completes_single_rumor_broadcast_on_streaming_engine() {
-        use rpc_engine::Simulation;
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(4);
         for driver in [BroadcastDriver::push(10_000), BroadcastDriver::push_pull(10_000)] {
@@ -410,7 +268,6 @@ mod tests {
 
     #[test]
     fn driver_push_mode_sends_nothing_before_injection() {
-        use rpc_engine::Simulation;
         let g = CompleteGraph::new(64).generate(0);
         let mut sim = Simulation::new_streaming(&g, 3, 1);
         sim.schedule_injection(2, 0, 0);
@@ -428,9 +285,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_graphs() {
         let g0 = CompleteGraph::new(0).generate(0);
-        assert!(PushPullBroadcast::default().run(&g0, 0).completed);
+        assert!(push_pull(&g0, 0).completed);
         let g1 = CompleteGraph::new(1).generate(0);
-        let o = PushBroadcast::default().run(&g1, 0);
+        let o = push(&g1, 0);
         assert!(o.completed);
         assert_eq!(o.transmissions, 0);
     }

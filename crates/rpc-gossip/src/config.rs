@@ -27,20 +27,6 @@ pub fn round_to_multiple_of_4(x: f64) -> usize {
     v.div_ceil(4) * 4
 }
 
-/// Parameters of the simple Push-Pull gossiping baseline (Algorithm 4).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PushPullConfig {
-    /// Safety cap on the number of rounds (the algorithm itself runs until
-    /// every node knows every message).
-    pub max_rounds: usize,
-}
-
-impl Default for PushPullConfig {
-    fn default() -> Self {
-        Self { max_rounds: 10_000 }
-    }
-}
-
 /// Parameters of Algorithm 1 (fast-gossiping), one field per phase limit of
 /// Table 1.
 #[derive(Clone, Copy, Debug, PartialEq)]

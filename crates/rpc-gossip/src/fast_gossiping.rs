@@ -20,12 +20,11 @@
 use rand::Rng;
 use rpc_graphs::NodeId;
 
-use rpc_engine::{Engine, Simulation, Transfer, Walk, WalkQueues};
+use rpc_engine::{Engine, Transfer, Walk, WalkQueues};
 
 use crate::config::FastGossipingConfig;
-use crate::outcome::GossipOutcome;
 use crate::push_pull::push_pull_round;
-use crate::runner::{run_driver, GossipAlgorithm, ProtocolDriver, StepStatus};
+use crate::runner::{ProtocolDriver, StepStatus};
 
 /// Algorithm 1 (fast-gossiping).
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +82,7 @@ impl FastGossiping {
 
 /// Where the [`FastGossipingDriver`] is inside Algorithm 1's schedule. Each
 /// variant corresponds to one kind of synchronous round; the nested loops of
-/// the block formulation become explicit resumable states.
+/// the pseudocode become explicit resumable states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FgState {
     /// Phase I, distribution step `step` of `phase1_steps`.
@@ -102,14 +101,13 @@ enum FgState {
 
 /// The resumable [`ProtocolDriver`] for Algorithm 1 (fast-gossiping).
 ///
-/// The three phases of the block formulation — and the nested
+/// The three phases of the pseudocode — and the nested
 /// coin-flip/forward/broadcast loops inside Phase II — are encoded as an
 /// explicit state machine, one state transition per synchronous round, so the
 /// scenario engine can evaluate stop rules and record traces between *any*
 /// two rounds of the protocol. Cross-round protocol state (the walk queues,
 /// the active set of the short broadcasts, the Phase III step counter) lives
-/// in the driver; stepping to exhaustion consumes randomness exactly like
-/// [`FastGossiping::run_on_engine`], which is a thin loop over this driver.
+/// in the driver.
 #[derive(Clone, Debug)]
 pub struct FastGossipingDriver {
     alg: FastGossiping,
@@ -289,52 +287,27 @@ impl ProtocolDriver for FastGossipingDriver {
             }
         }
         // Cross any boundary this round just reached, so phase markers land
-        // between rounds exactly where the block formulation put them.
+        // between the last round of a phase and the first of the next.
         self.advance_boundaries(sim);
         StepStatus::Running
-    }
-}
-
-impl FastGossiping {
-    /// Runs all three phases on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point): a thin loop
-    /// over [`FastGossipingDriver::step`], bit-identical to stepping the
-    /// driver manually.
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        let mut driver = FastGossipingDriver::new(*self, sim.num_nodes());
-        run_driver(&mut driver, sim);
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
-    }
-}
-
-impl GossipAlgorithm for FastGossiping {
-    fn name(&self) -> &'static str {
-        "fast-gossiping"
-    }
-
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::push_pull::PushPullDriver;
+    use crate::runner::{assert_stepping_matches_run_driver, run_fresh};
     use rand::Rng;
     use rpc_engine::Accounting;
+    use rpc_engine::Simulation;
     use rpc_graphs::prelude::*;
 
     #[test]
     fn completes_on_paper_density_random_graph() {
         let n = 512;
         let g = ErdosRenyi::paper_density(n).generate(1);
-        let outcome = FastGossiping::paper(n).run(&g, 2);
+        let outcome = run_fresh(FastGossipingDriver::new(FastGossiping::paper(n), n), &g, 2);
         assert!(outcome.completed());
         assert_eq!(outcome.fully_informed(), n);
     }
@@ -343,7 +316,7 @@ mod tests {
     fn completes_on_complete_graph() {
         let n = 256;
         let g = CompleteGraph::new(n).generate(0);
-        let outcome = FastGossiping::paper(n).run(&g, 3);
+        let outcome = run_fresh(FastGossipingDriver::new(FastGossiping::paper(n), n), &g, 3);
         assert!(outcome.completed());
     }
 
@@ -351,7 +324,7 @@ mod tests {
     fn phase_markers_are_recorded_in_order() {
         let n = 128;
         let g = ErdosRenyi::paper_density(n).generate(2);
-        let outcome = FastGossiping::paper(n).run(&g, 4);
+        let outcome = run_fresh(FastGossipingDriver::new(FastGossiping::paper(n), n), &g, 4);
         let labels: Vec<_> = outcome.phases().iter().map(|p| p.label.clone()).collect();
         assert_eq!(labels, vec!["phase1-distribution", "phase2-random-walks", "phase3-broadcast"]);
         assert!(outcome.packets_in_phase("phase1-distribution").unwrap() > 0);
@@ -379,8 +352,8 @@ mod tests {
         // the message complexity of Algorithm 1 and simple push-pull.
         let n = 4096;
         let g = ErdosRenyi::paper_density(n).generate(7);
-        let fast = FastGossiping::paper(n).run(&g, 8);
-        let baseline = crate::push_pull::PushPullGossip::default().run(&g, 8);
+        let fast = run_fresh(FastGossipingDriver::new(FastGossiping::paper(n), n), &g, 8);
+        let baseline = run_fresh(PushPullDriver::new(10_000), &g, 8);
         assert!(fast.completed() && baseline.completed());
         let fast_msgs = fast.messages_per_node(Accounting::PerPacket);
         let base_msgs = baseline.messages_per_node(Accounting::PerPacket);
@@ -388,6 +361,15 @@ mod tests {
             fast_msgs < base_msgs,
             "fast-gossiping ({fast_msgs:.2}) should beat push-pull ({base_msgs:.2})"
         );
+    }
+
+    #[test]
+    fn stepping_with_queries_matches_run_driver() {
+        let n = 256;
+        let g = ErdosRenyi::paper_density(n).generate(15);
+        let driver = FastGossipingDriver::new(FastGossiping::paper(n), n);
+        let labels = ["phase1-distribution", "phase2-random-walks", "phase3-broadcast"];
+        assert_stepping_matches_run_driver(driver, &g, 16, &labels);
     }
 
     #[test]

@@ -10,201 +10,12 @@
 //! (Lemma 19).
 
 use rand::Rng;
-use rpc_graphs::{Graph, NodeId};
+use rpc_graphs::NodeId;
 
-use rpc_engine::{sample_failures, ContactLists, Engine, Metrics};
+use rpc_engine::{ContactLists, Engine};
 
 use crate::config::LeaderElectionConfig;
 use crate::runner::{ProtocolDriver, StepStatus};
-
-/// Result of one leader-election run.
-#[derive(Clone, Debug)]
-pub struct ElectionOutcome {
-    /// The elected leader, if exactly one node considers itself the leader.
-    pub leader: Option<NodeId>,
-    /// All nodes that consider themselves the leader (should have length 1).
-    pub self_declared_leaders: Vec<NodeId>,
-    /// Number of nodes that declared themselves candidates.
-    pub candidates: usize,
-    /// Number of alive nodes that know the winning identifier at the end
-    /// ("aware of the leader", Lemma 18).
-    pub aware_nodes: usize,
-    /// Number of alive nodes.
-    pub alive_nodes: usize,
-    /// Number of synchronous steps executed.
-    pub rounds: u64,
-    /// Total identifier packets sent.
-    pub total_packets: u64,
-    /// Total channels opened.
-    pub channels_opened: u64,
-}
-
-impl ElectionOutcome {
-    /// Whether election succeeded: exactly one self-declared leader and every
-    /// alive node is aware of it.
-    pub fn succeeded(&self) -> bool {
-        self.leader.is_some() && self.aware_nodes == self.alive_nodes
-    }
-
-    /// Average number of identifier packets sent per node.
-    pub fn messages_per_node(&self) -> f64 {
-        if self.alive_nodes == 0 {
-            0.0
-        } else {
-            self.total_packets as f64 / self.alive_nodes as f64
-        }
-    }
-}
-
-/// Algorithm 3 (leader election).
-#[derive(Clone, Copy, Debug)]
-pub struct LeaderElection {
-    config: LeaderElectionConfig,
-}
-
-impl LeaderElection {
-    /// Leader election with an explicit configuration.
-    pub fn new(config: LeaderElectionConfig) -> Self {
-        Self { config }
-    }
-
-    /// Leader election with the default constants for `n` nodes.
-    pub fn paper(n: usize) -> Self {
-        Self::new(LeaderElectionConfig::paper_defaults(n))
-    }
-
-    /// Runs the election without failures.
-    pub fn run(&self, graph: &Graph, seed: u64) -> ElectionOutcome {
-        self.run_with_failures(graph, seed, 0)
-    }
-
-    /// Runs the election with `failures` uniformly random nodes failing before
-    /// the algorithm starts (the non-malicious failure model of Lemma 19).
-    pub fn run_with_failures(&self, graph: &Graph, seed: u64, failures: usize) -> ElectionOutcome {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-
-        let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6c62_272e_07bb_0142);
-        let mut metrics = Metrics::new(n);
-        let mut alive = vec![true; n];
-        for v in sample_failures(n, failures.min(n), &mut rng) {
-            alive[v as usize] = false;
-        }
-        let alive_nodes = alive.iter().filter(|&&a| a).count();
-
-        // smallest identifier seen so far (identifier of node v is v itself).
-        let mut best: Vec<Option<NodeId>> = vec![None; n];
-        let mut active = vec![false; n];
-        let mut contacts = ContactLists::new(n);
-        let mut candidates = 0usize;
-
-        // Candidate selection + initial push.
-        let mut arrivals: Vec<(NodeId, NodeId)> = Vec::new();
-        for v in 0..n as NodeId {
-            if !alive[v as usize] || !rng.gen_bool(self.config.candidate_probability) {
-                continue;
-            }
-            candidates += 1;
-            active[v as usize] = true;
-            best[v as usize] = Some(v);
-            let avoid = contacts.get(v).addresses();
-            if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                metrics.record_channel_open(v);
-                metrics.record_packet(v);
-                metrics.record_exchange(v);
-                contacts.get_mut(v).store(0, u, 0);
-                arrivals.push((u, v));
-            }
-        }
-        metrics.finish_round();
-        Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-
-        // Push steps: active nodes forward the smallest identifier seen.
-        for step in 1..=self.config.push_steps as u64 {
-            arrivals.clear();
-            for v in 0..n as NodeId {
-                if !alive[v as usize] || !active[v as usize] {
-                    continue;
-                }
-                let Some(id) = best[v as usize] else { continue };
-                let avoid = contacts.get(v).addresses();
-                if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                    metrics.record_channel_open(v);
-                    metrics.record_packet(v);
-                    metrics.record_exchange(v);
-                    contacts.get_mut(v).store((step % 4) as usize, u, step);
-                    arrivals.push((u, id));
-                }
-            }
-            metrics.finish_round();
-            Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-        }
-
-        // Pull steps: every node opens an avoided channel and adopts the
-        // neighbour's smallest identifier.
-        for step in 1..=self.config.pull_steps as u64 {
-            arrivals.clear();
-            for v in 0..n as NodeId {
-                if !alive[v as usize] {
-                    continue;
-                }
-                let avoid = contacts.get(v).addresses();
-                if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                    metrics.record_channel_open(v);
-                    contacts.get_mut(v).store((step % 4) as usize, u, 1000 + step);
-                    if alive[u as usize] {
-                        if let Some(id) = best[u as usize] {
-                            metrics.record_packet(u);
-                            metrics.record_exchange(v);
-                            arrivals.push((v, id));
-                        }
-                    }
-                }
-            }
-            metrics.finish_round();
-            Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-        }
-
-        let self_declared: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| alive[v as usize] && best[v as usize] == Some(v))
-            .collect();
-        let leader = if self_declared.len() == 1 { Some(self_declared[0]) } else { None };
-        let aware_nodes = match leader {
-            Some(l) => (0..n).filter(|&v| alive[v] && best[v] == Some(l)).count(),
-            None => 0,
-        };
-
-        ElectionOutcome {
-            leader,
-            self_declared_leaders: self_declared,
-            candidates,
-            aware_nodes,
-            alive_nodes,
-            rounds: metrics.rounds(),
-            total_packets: metrics.total_packets(),
-            channels_opened: metrics.channels_opened(),
-        }
-    }
-
-    fn apply_arrivals(
-        arrivals: &[(NodeId, NodeId)],
-        alive: &[bool],
-        best: &mut [Option<NodeId>],
-        active: &mut [bool],
-    ) {
-        for &(to, id) in arrivals {
-            if !alive[to as usize] {
-                continue;
-            }
-            active[to as usize] = true;
-            best[to as usize] = Some(match best[to as usize] {
-                Some(current) => current.min(id),
-                None => id,
-            });
-        }
-    }
-}
 
 /// The distilled result of a driver-run election, carried on the scenario
 /// outcome so registry scenarios can assert the paper's success predicate
@@ -226,8 +37,8 @@ pub struct ElectionSummary {
 
 impl ElectionSummary {
     /// Whether election succeeded: exactly one self-declared leader and every
-    /// participating node is aware of it (the [`ElectionOutcome::succeeded`]
-    /// predicate, evaluated against the engine's liveness masks).
+    /// participating node is aware of it (Lemma 18's predicate, evaluated
+    /// against the engine's liveness masks).
     pub fn succeeded(&self) -> bool {
         self.leader.is_some() && self.aware_nodes == self.alive_nodes
     }
@@ -246,14 +57,15 @@ enum ElectionStage {
     Done,
 }
 
-/// The resumable [`ProtocolDriver`] for Algorithm 3: the same candidacy →
-/// push → pull schedule as [`LeaderElection::run_with_failures`], but driven
-/// through an [`Engine`] so the scenario executor's environment dimensions
-/// (crash bursts, per-round traces, stop rules) apply uniformly. Liveness
-/// comes from the engine's masks instead of a bespoke `alive` vector, and
-/// every random draw (candidacy coin, `open-avoid` neighbour choice) is one
-/// of the engine's node-keyed draws, so runs are deterministic in the
-/// scenario seed.
+/// The resumable [`ProtocolDriver`] for Algorithm 3: one candidacy round
+/// (candidates push their own identifier), `push_steps` push rounds and
+/// `pull_steps` pull rounds, driven through an [`Engine`] so the scenario
+/// executor's environment dimensions (crash bursts, per-round traces, stop
+/// rules) apply uniformly. Liveness comes from the engine's masks, and every
+/// random draw (candidacy coin, `open-avoid` neighbour choice) is one of the
+/// engine's node-keyed draws, so runs are deterministic in the scenario
+/// seed. Lemma 19's failure model — random nodes failing before the
+/// algorithm starts — is a crash scheduled for round 0.
 #[derive(Clone, Debug)]
 pub struct LeaderElectionDriver {
     config: LeaderElectionConfig,
@@ -367,8 +179,8 @@ impl ProtocolDriver for LeaderElectionDriver {
             return StepStatus::Done;
         }
         // Land scheduled crash/churn bursts before the stage body so a
-        // round-0 failure regime excludes its victims from candidacy, exactly
-        // like `run_with_failures` fails nodes before the algorithm starts.
+        // round-0 failure regime excludes its victims from candidacy: they
+        // fail before the algorithm starts, as in Lemma 19.
         sim.apply_due_events();
         let n = sim.num_nodes();
         self.arrivals.clear();
@@ -434,43 +246,41 @@ impl ProtocolDriver for LeaderElectionDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_driver;
+    use rpc_engine::Simulation;
     use rpc_graphs::prelude::*;
 
-    #[test]
-    fn elects_exactly_one_leader_on_random_graphs() {
-        let n = 1024;
-        let g = ErdosRenyi::paper_density(n).generate(1);
-        let outcome = LeaderElection::paper(n).run(&g, 2);
-        assert!(outcome.succeeded(), "election failed: {outcome:?}");
-        assert_eq!(outcome.self_declared_leaders.len(), 1);
-        // The winner is the candidate with the smallest identifier, and every
-        // node ends up aware of it.
-        assert_eq!(outcome.aware_nodes, n);
-        assert!(outcome.candidates >= 1);
+    /// Runs a paper-constant election on a fresh engine over `g`; returns the
+    /// finished driver and the total identifier packets sent.
+    fn elect(g: &Graph, seed: u64) -> (LeaderElectionDriver, u64) {
+        let mut sim = Simulation::new(g, seed);
+        let mut driver = LeaderElectionDriver::paper(g.num_nodes());
+        run_driver(&mut driver, &mut sim);
+        (driver, sim.metrics().total_packets())
     }
 
     #[test]
     fn leader_is_the_smallest_candidate_id() {
         let n = 512;
         let g = ErdosRenyi::paper_density(n).generate(3);
-        let outcome = LeaderElection::paper(n).run(&g, 4);
-        let leader = outcome.leader.expect("leader elected");
+        let (driver, _) = elect(&g, 4);
+        let leader = driver.summary().and_then(|s| s.leader).expect("leader elected");
         // No self-declared leader can have a larger id than the winner, and
         // the winner considers itself leader, so it is the minimum.
-        assert!(outcome.self_declared_leaders.iter().all(|&v| v == leader));
+        let self_declared = (0..n as NodeId).filter(|&v| driver.best[v as usize] == Some(v));
+        assert!(self_declared.into_iter().all(|v| v == leader));
     }
 
     #[test]
     fn candidate_count_concentrates_around_log_squared() {
         let n = 1 << 14;
         let g = ErdosRenyi::paper_density(n).generate(5);
-        let outcome = LeaderElection::paper(n).run(&g, 6);
+        let (driver, _) = elect(&g, 6);
+        let candidates = driver.summary().expect("summary cached at Done").candidates;
         let expected = (n as f64).log2().powi(2);
         assert!(
-            (outcome.candidates as f64) > expected / 3.0
-                && (outcome.candidates as f64) < expected * 3.0,
-            "candidate count {} far from log^2 n = {expected:.0}",
-            outcome.candidates
+            (candidates as f64) > expected / 3.0 && (candidates as f64) < expected * 3.0,
+            "candidate count {candidates} far from log^2 n = {expected:.0}"
         );
     }
 
@@ -481,9 +291,10 @@ mod tests {
         // steps, so the per-node constant is ≈ ρ + 4; with ρ = 2 allow 8.
         let n = 1 << 13;
         let g = ErdosRenyi::paper_density(n).generate(7);
-        let outcome = LeaderElection::paper(n).run(&g, 8);
-        assert!(outcome.succeeded());
-        let per_node = outcome.messages_per_node();
+        let (driver, packets) = elect(&g, 8);
+        let summary = driver.summary().expect("summary cached at Done");
+        assert!(summary.succeeded());
+        let per_node = packets as f64 / summary.alive_nodes as f64;
         let loglog = (n as f64).log2().log2();
         assert!(
             per_node < 8.0 * loglog,
@@ -493,26 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_in_seed() {
-        let n = 256;
-        let g = ErdosRenyi::paper_density(n).generate(9);
-        let a = LeaderElection::paper(n).run(&g, 10);
-        let b = LeaderElection::paper(n).run(&g, 10);
-        assert_eq!(a.leader, b.leader);
-        assert_eq!(a.total_packets, b.total_packets);
-    }
-
-    #[test]
     fn driver_elects_a_unique_known_leader_on_a_random_graph() {
-        use rpc_engine::Simulation;
-
         let n = 1024;
         let g = ErdosRenyi::paper_density(n).generate(1);
         let mut sim = Simulation::new(&g, 2);
         let mut driver = LeaderElectionDriver::paper(n);
         assert!(!driver.finished(&sim));
         assert_eq!(driver.election_summary(), None);
-        let rounds = crate::runner::run_driver(&mut driver, &mut sim);
+        let rounds = run_driver(&mut driver, &mut sim);
         let config = LeaderElectionConfig::paper_defaults(n);
         assert_eq!(rounds, 1 + config.push_steps as u64 + config.pull_steps as u64);
         assert_eq!(rounds, sim.metrics().rounds());
@@ -532,8 +331,6 @@ mod tests {
 
     #[test]
     fn driver_tolerates_a_round_zero_crash_burst() {
-        use rpc_engine::Simulation;
-
         // Lemma 19's failure regime expressed through the engine: a scheduled
         // crash burst at round 0 lands (via `apply_due_events`) before the
         // candidacy draw, so victims neither run nor count as alive.
@@ -543,7 +340,7 @@ mod tests {
         let mut sim = Simulation::new(&g, 12);
         sim.schedule_crash(0, (0..failures as NodeId).collect());
         let mut driver = LeaderElectionDriver::paper(n);
-        crate::runner::run_driver(&mut driver, &mut sim);
+        run_driver(&mut driver, &mut sim);
         let summary = driver.election_summary().expect("summary cached at Done");
         assert_eq!(summary.alive_nodes, n - failures);
         assert_eq!(summary.self_declared, 1, "no unique leader: {summary:?}");
@@ -552,14 +349,12 @@ mod tests {
 
     #[test]
     fn driver_is_deterministic_in_the_seed() {
-        use rpc_engine::Simulation;
-
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(9);
         let run = |seed| {
             let mut sim = Simulation::new(&g, seed);
             let mut driver = LeaderElectionDriver::paper(n);
-            crate::runner::run_driver(&mut driver, &mut sim);
+            run_driver(&mut driver, &mut sim);
             (*driver.summary().unwrap(), sim.metrics().total_packets())
         };
         assert_eq!(run(10), run(10));
@@ -574,11 +369,16 @@ mod tests {
         let n = 2048;
         let g = ErdosRenyi::paper_density(n).generate(11);
         let failures = 64; // ≈ n^{0.55}
-        let outcome = LeaderElection::paper(n).run_with_failures(&g, 12, failures);
-        assert_eq!(outcome.alive_nodes, n - failures);
-        assert_eq!(outcome.self_declared_leaders.len(), 1, "no unique leader: {outcome:?}");
+        let mut sim = Simulation::new(&g, 12);
+        let victims = rpc_engine::sample_failures(n, failures, sim.global_draws());
+        sim.schedule_crash(0, victims);
+        let mut driver = LeaderElectionDriver::paper(n);
+        run_driver(&mut driver, &mut sim);
+        let summary = driver.election_summary().expect("summary cached at Done");
+        assert_eq!(summary.alive_nodes, n - failures);
+        assert_eq!(summary.self_declared, 1, "no unique leader: {summary:?}");
         // Awareness may miss a handful of nodes whose neighbourhood was hit by
         // failures; require near-complete awareness.
-        assert!(outcome.aware_nodes as f64 >= 0.99 * outcome.alive_nodes as f64);
+        assert!(summary.aware_nodes as f64 >= 0.99 * summary.alive_nodes as f64);
     }
 }

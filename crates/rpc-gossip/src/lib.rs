@@ -5,30 +5,32 @@
 //! implemented on top of the [`rpc_engine`] random phone call simulator and
 //! the [`rpc_graphs`] graph models.
 //!
-//! | paper | module | type |
+//! Every protocol has one execution path: a resumable [`ProtocolDriver`]
+//! that executes one synchronous round per [`ProtocolDriver::step`]. The
+//! scenario engine steps drivers to apply round budgets, coverage thresholds
+//! and per-round tracing to any algorithm; [`run_driver`] runs one to its
+//! natural termination.
+//!
+//! | paper | module | driver |
 //! |---|---|---|
-//! | Algorithm 4 (appendix) | [`push_pull`] | [`PushPullGossip`] — the simple push-pull baseline |
-//! | Algorithm 1 | [`fast_gossiping`] | [`FastGossiping`] — distribution, random walks, broadcast |
-//! | Algorithm 2 | [`memory_model`] | [`MemoryGossip`] — leader tree, gather, broadcast with `open-avoid` |
-//! | Algorithm 3 | [`leader_election`] | [`LeaderElection`] |
-//! | Karp et al. / Pittel baselines | [`broadcast`] | [`PushBroadcast`], [`PushPullBroadcast`] |
+//! | Algorithm 4 (appendix) | [`push_pull`] | [`PushPullDriver`] — the simple push-pull baseline |
+//! | Algorithm 1 | [`fast_gossiping`] | [`FastGossipingDriver`] — distribution, random walks, broadcast |
+//! | Algorithm 2 | [`memory_model`] | [`MemoryDriver`] — leader tree, gather, broadcast with `open-avoid` |
+//! | Algorithm 3 | [`leader_election`] | [`LeaderElectionDriver`] |
+//! | Karp et al. / Pittel baselines | [`broadcast`] | [`BroadcastDriver`] (push, push-pull) |
 //! | Table 1 | [`config`] | per-phase constants |
 //! | Theorems 1–3 reference values | [`theory`] | closed-form bounds |
 //!
-//! Every gossiping protocol is additionally exposed as a resumable
-//! [`ProtocolDriver`] ([`PushPullDriver`], [`FastGossipingDriver`],
-//! [`MemoryDriver`]) executing one synchronous round per step — the interface
-//! the scenario engine uses to apply round budgets, coverage thresholds and
-//! per-round tracing to any algorithm. The block entry points are thin loops
-//! over the drivers, with identical RNG draw sequences.
-//!
 //! ```
+//! use rpc_engine::Simulation;
 //! use rpc_gossip::prelude::*;
 //! use rpc_graphs::prelude::*;
 //!
 //! let n = 256;
 //! let graph = ErdosRenyi::paper_density(n).generate(1);
-//! let outcome = FastGossiping::paper(n).run(&graph, 7);
+//! let mut sim = Simulation::new(&graph, 7);
+//! run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim);
+//! let outcome = GossipOutcome::from_engine(&sim);
 //! assert!(outcome.completed());
 //! println!("messages per node: {:.2}", outcome.messages_per_node(Accounting::PerPacket));
 //! ```
@@ -45,34 +47,24 @@ pub mod push_pull;
 pub mod runner;
 pub mod theory;
 
-pub use broadcast::{
-    BroadcastDriver, BroadcastMode, BroadcastOutcome, PushBroadcast, PushPullBroadcast,
-};
-pub use config::{
-    loglog2n, FastGossipingConfig, LeaderElectionConfig, MemoryGossipConfig, PushPullConfig,
-};
+pub use broadcast::{BroadcastDriver, BroadcastMode};
+pub use config::{loglog2n, FastGossipingConfig, LeaderElectionConfig, MemoryGossipConfig};
 pub use fast_gossiping::{FastGossiping, FastGossipingDriver};
-pub use leader_election::{ElectionOutcome, ElectionSummary, LeaderElection, LeaderElectionDriver};
+pub use leader_election::{ElectionSummary, LeaderElectionDriver};
 pub use memory_model::{MemoryDriver, MemoryGossip};
 pub use outcome::GossipOutcome;
-pub use push_pull::{PushPullDriver, PushPullGossip};
-pub use runner::{run_driver, GossipAlgorithm, ProtocolDriver, StepStatus};
+pub use push_pull::PushPullDriver;
+pub use runner::{run_driver, ProtocolDriver, StepStatus};
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
-    pub use crate::broadcast::{
-        BroadcastDriver, BroadcastMode, BroadcastOutcome, PushBroadcast, PushPullBroadcast,
-    };
-    pub use crate::config::{
-        FastGossipingConfig, LeaderElectionConfig, MemoryGossipConfig, PushPullConfig,
-    };
+    pub use crate::broadcast::{BroadcastDriver, BroadcastMode};
+    pub use crate::config::{FastGossipingConfig, LeaderElectionConfig, MemoryGossipConfig};
     pub use crate::fast_gossiping::{FastGossiping, FastGossipingDriver};
-    pub use crate::leader_election::{
-        ElectionOutcome, ElectionSummary, LeaderElection, LeaderElectionDriver,
-    };
+    pub use crate::leader_election::{ElectionSummary, LeaderElectionDriver};
     pub use crate::memory_model::{MemoryDriver, MemoryGossip};
     pub use crate::outcome::GossipOutcome;
-    pub use crate::push_pull::{PushPullDriver, PushPullGossip};
-    pub use crate::runner::{run_driver, GossipAlgorithm, ProtocolDriver, StepStatus};
+    pub use crate::push_pull::PushPullDriver;
+    pub use crate::runner::{run_driver, ProtocolDriver, StepStatus};
     pub use rpc_engine::Accounting;
 }

@@ -22,19 +22,19 @@
 //!
 //! The per-round bodies live in three small private sub-machines —
 //! `TreeBuilder` (Phase I), `GatherReplay` (Phase II), `BroadcastBack`
-//! (Phase III) — shared verbatim by the block entry points (`build_tree` et
-//! al., used by the robustness harness) and the resumable [`MemoryDriver`],
-//! so the stepped and block formulations cannot diverge.
+//! (Phase III) — stepped by the resumable [`MemoryDriver`]. The robustness
+//! harness ([`MemoryGossip::run_with_failures_on`]) runs the same driver and
+//! only adds the failure injection between Phase I and Phase II.
 
 use std::collections::HashMap;
 
-use rpc_graphs::{Graph, NodeId};
+use rpc_graphs::NodeId;
 
 use rpc_engine::{sample_failures, ContactLists, Engine, Simulation, Transfer};
 
 use crate::config::MemoryGossipConfig;
 use crate::outcome::GossipOutcome;
-use crate::runner::{run_driver, GossipAlgorithm, ProtocolDriver, StepStatus};
+use crate::runner::{ProtocolDriver, StepStatus};
 
 /// Algorithm 2 (memory-model gossiping).
 #[derive(Clone, Copy, Debug)]
@@ -333,81 +333,37 @@ impl MemoryGossip {
         self.leader.unwrap_or_else(|| sim.global_draws().gen_range(0..n))
     }
 
-    /// Phase I: builds one leader-rooted communication tree. Only the leader's
-    /// message is (conceptually) transmitted, so node states are not touched;
-    /// every packet is still accounted for. A block loop over the same
-    /// [`TreeBuilder`] rounds the [`MemoryDriver`] steps through.
-    fn build_tree<E: Engine>(&self, sim: &mut E, leader: NodeId) -> TreeRecord {
-        let mut builder = TreeBuilder::new(sim.num_nodes(), leader);
-        // Push long-steps: the leader is active in long-step 0; afterwards
-        // the nodes informed in long-step j are active in long-step j+1.
-        for _ in 0..self.config.phase1_push_steps / 4 {
-            for k in 0..4 {
-                builder.push_round(sim, k);
-            }
-            builder.end_long_step();
-        }
-        while !builder.pull_done(sim, &self.config) {
-            builder.pull_round(sim);
-        }
-        builder.record
-    }
-
-    /// Phase II: replays one tree backwards in time so that every covered
-    /// node's original messages reach the leader.
-    fn gather<E: Engine>(&self, sim: &mut E, tree: &TreeRecord) {
-        let replay = GatherReplay::new(tree);
-        let mut transfers: Vec<Transfer> = Vec::new();
-        for t in 1..=replay.total_steps {
-            replay.round(sim, t, &mut transfers);
-        }
-    }
-
-    /// Runs the complete algorithm with `failures` uniformly random node
-    /// failures injected between Phase I (tree construction) and Phase II
+    /// Runs the algorithm with `failures` uniformly random node failures
+    /// injected between Phase I (tree construction) and Phase II
     /// (gathering), exactly as in the robustness experiments of Figures 2, 3
     /// and 5. The leader itself never fails (a failed leader loses everything
     /// trivially and is excluded by the experiments). Phase III is skipped —
     /// the measured quantity is which original messages reached the leader.
     ///
+    /// This steps a [`MemoryDriver`]: once the driver marks `phase1-trees`,
+    /// the failures are sampled from the engine's global draws and applied;
+    /// the run stops when it marks `phase2-gather`. The simulation may be
+    /// checked out of a [`rpc_engine::SimulationArena`].
+    ///
     /// The returned outcome's [`GossipOutcome::lost_messages`] is the number
     /// of *healthy* non-leader nodes whose original message is missing at the
     /// leader, and [`GossipOutcome::additional_loss_ratio`] is the y-value of
     /// Figures 2 and 3.
-    pub fn run_with_failures(&self, graph: &Graph, seed: u64, failures: usize) -> GossipOutcome {
-        let mut sim = Simulation::new(graph, seed);
-        self.run_with_failures_on(&mut sim, failures)
-    }
-
-    /// [`Self::run_with_failures`] on a caller-prepared simulation — the
-    /// entry point arena-backed sweep drivers use (the simulation may be
-    /// checked out of a [`rpc_engine::SimulationArena`]). Consumes randomness
-    /// identically to `run_with_failures`, so both produce bit-identical
-    /// outcomes for the same `(graph, seed)`.
     pub fn run_with_failures_on(&self, sim: &mut Simulation<'_>, failures: usize) -> GossipOutcome {
-        let leader = self.pick_leader(sim);
-        let trees: Vec<TreeRecord> =
-            (0..self.config.trees).map(|_| self.build_tree(sim, leader)).collect();
-        sim.metrics_mut().mark_phase("phase1-trees");
-
-        // Fail `failures` random non-leader nodes.
-        let n = sim.num_nodes();
-        let failed: Vec<NodeId> = if failures > 0 {
-            let mut candidates = sample_failures(n, (failures + 1).min(n), sim.global_draws());
-            candidates.retain(|&v| v != leader);
-            candidates.truncate(failures);
-            candidates
-        } else {
-            Vec::new()
-        };
-        sim.fail_nodes(&failed);
-
-        for tree in &trees {
-            self.gather(sim, tree);
+        let mut driver = MemoryDriver::new(*self);
+        let mut failed: Option<Vec<NodeId>> = None;
+        while !phase_marked(sim, "phase2-gather") && driver.step(sim) == StepStatus::Running {
+            if failed.is_none() && phase_marked(sim, "phase1-trees") {
+                let leader = driver.leader().expect("leader picked in the first step");
+                let victims = sample_non_leader_failures(sim, leader, failures);
+                sim.fail_nodes(&victims);
+                failed = Some(victims);
+            }
         }
-        sim.metrics_mut().mark_phase("phase2-gather");
+        let leader = driver.leader().expect("leader picked in the first step");
 
         // Count healthy original messages missing at the leader.
+        let n = sim.num_nodes();
         let leader_state = sim.state(leader);
         let mut lost = 0usize;
         for v in 0..n as NodeId {
@@ -423,9 +379,31 @@ impl MemoryGossip {
             lost == 0,
             sim.fully_informed_count(),
             lost,
-            failed.len(),
+            failed.map_or(0, |f| f.len()),
         )
     }
+}
+
+/// Whether the run on `sim` has passed the phase marker `label`.
+fn phase_marked<E: Engine>(sim: &E, label: &str) -> bool {
+    sim.metrics().phases().iter().any(|p| p.label == label)
+}
+
+/// Draws `failures` distinct uniformly random nodes other than `leader` from
+/// the engine's global stream.
+fn sample_non_leader_failures<E: Engine>(
+    sim: &mut E,
+    leader: NodeId,
+    failures: usize,
+) -> Vec<NodeId> {
+    if failures == 0 {
+        return Vec::new();
+    }
+    let n = sim.num_nodes();
+    let mut candidates = sample_failures(n, (failures + 1).min(n), sim.global_draws());
+    candidates.retain(|&v| v != leader);
+    candidates.truncate(failures);
+    candidates
 }
 
 /// Where the [`MemoryDriver`] is inside Algorithm 2's schedule.
@@ -452,11 +430,9 @@ enum MmState {
 /// Tree construction, the backwards replay and the closing broadcast become
 /// explicit per-round states; the contact lists, partial tree records and
 /// replay indices live in the driver, so the scenario engine can stop, trace
-/// or budget the protocol between any two rounds. Stepping to exhaustion
-/// consumes randomness exactly like [`MemoryGossip::run_on_engine`], which is
-/// a thin loop over this driver. The leader draw (one global draw when no
-/// leader is fixed) happens inside the first `step` call, preserving the
-/// block formulation's draw order.
+/// or budget the protocol between any two rounds. The leader draw (one
+/// global draw when no leader is fixed) happens inside the first `step`
+/// call.
 #[derive(Clone, Debug)]
 pub struct MemoryDriver {
     alg: MemoryGossip,
@@ -482,6 +458,11 @@ impl MemoryDriver {
             broadcast: None,
             transfers: Vec::new(),
         }
+    }
+
+    /// The leader; `None` until the first `step` has picked it.
+    pub fn leader(&self) -> Option<NodeId> {
+        self.leader
     }
 
     /// Crosses every phase boundary the current position has reached: ends
@@ -625,43 +606,16 @@ impl ProtocolDriver for MemoryDriver {
             }
         }
         // Cross any boundary this round just reached, so phase markers land
-        // between rounds exactly where the block formulation put them.
+        // between the last round of a phase and the first of the next.
         self.advance_boundaries(sim);
         StepStatus::Running
-    }
-}
-
-impl MemoryGossip {
-    /// Runs all three phases on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point): a thin loop
-    /// over [`MemoryDriver::step`], bit-identical to stepping the driver
-    /// manually.
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        let mut driver = MemoryDriver::new(*self);
-        run_driver(&mut driver, sim);
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
-    }
-}
-
-impl GossipAlgorithm for MemoryGossip {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{assert_stepping_matches_run_driver, run_fresh};
     use rpc_engine::Accounting;
     use rpc_graphs::prelude::*;
 
@@ -669,7 +623,7 @@ mod tests {
     fn completes_on_paper_density_random_graph() {
         let n = 512;
         let g = ErdosRenyi::paper_density(n).generate(1);
-        let outcome = MemoryGossip::paper(n).run(&g, 2);
+        let outcome = run_fresh(MemoryDriver::new(MemoryGossip::paper(n)), &g, 2);
         assert!(outcome.completed(), "leader-based gossiping did not complete");
         assert_eq!(outcome.fully_informed(), n);
     }
@@ -678,7 +632,7 @@ mod tests {
     fn completes_on_complete_graph() {
         let n = 256;
         let g = CompleteGraph::new(n).generate(0);
-        let outcome = MemoryGossip::paper(n).run(&g, 3);
+        let outcome = run_fresh(MemoryDriver::new(MemoryGossip::paper(n)), &g, 3);
         assert!(outcome.completed());
     }
 
@@ -689,7 +643,7 @@ mod tests {
         // looser constant that is still far below log n.
         let n = 2048;
         let g = ErdosRenyi::paper_density(n).generate(4);
-        let outcome = MemoryGossip::paper(n).run(&g, 5);
+        let outcome = run_fresh(MemoryDriver::new(MemoryGossip::paper(n)), &g, 5);
         assert!(outcome.completed());
         let per_node = outcome.messages_per_node(Accounting::PerPacket);
         assert!(
@@ -703,11 +657,14 @@ mod tests {
     fn gather_collects_every_message_at_the_leader() {
         let n = 512;
         let g = ErdosRenyi::paper_density(n).generate(6);
-        let alg = MemoryGossip::paper(n).with_leader(0);
+        let mut driver = MemoryDriver::new(MemoryGossip::paper(n).with_leader(0));
         let mut sim = Simulation::new(&g, 7);
-        let tree = alg.build_tree(&mut sim, 0);
-        assert!(tree.covered.iter().all(|&c| c), "tree must reach every node");
-        alg.gather(&mut sim, &tree);
+        while !phase_marked(&sim, "phase2-gather") {
+            assert_eq!(driver.step(&mut sim), StepStatus::Running);
+        }
+        assert_eq!(driver.leader(), Some(0));
+        assert_eq!(driver.trees.len(), 1);
+        assert!(driver.trees[0].covered.iter().all(|&c| c), "tree must reach every node");
         assert!(sim.is_fully_informed(0), "leader is missing messages after the gather phase");
     }
 
@@ -715,44 +672,26 @@ mod tests {
     fn fixed_leader_is_respected() {
         let n = 128;
         let g = ErdosRenyi::paper_density(n).generate(8);
-        let outcome = MemoryGossip::paper(n).with_leader(17).run(&g, 9);
+        let outcome = run_fresh(MemoryDriver::new(MemoryGossip::paper(n).with_leader(17)), &g, 9);
         assert!(outcome.completed());
     }
 
     #[test]
-    fn driver_steps_match_the_block_run() {
-        // The block entry point is a thin loop over the driver; stepping
-        // manually — with interleaved read-only queries, as the scenario
-        // engine does — must reproduce it exactly.
+    fn stepping_with_queries_matches_run_driver() {
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(15);
-        let block = MemoryGossip::paper(n).run(&g, 16);
-
-        let mut sim = Simulation::new(&g, 16);
-        let mut driver = MemoryDriver::new(MemoryGossip::paper(n));
-        let mut rounds = 0u64;
-        while !driver.finished(&sim) {
-            // Interleave the kind of read-only queries a stop rule performs.
-            let _ = sim.fully_informed_count();
-            match driver.step(&mut sim) {
-                StepStatus::Done => break,
-                StepStatus::Running => rounds += 1,
-            }
-        }
-        assert_eq!(rounds, block.rounds());
-        assert_eq!(sim.metrics().rounds(), block.rounds());
-        assert_eq!(sim.metrics().total_packets(), block.total_packets());
-        assert_eq!(sim.metrics().total_exchanges(), block.total_exchanges());
-        assert!(sim.gossip_complete());
-        let labels: Vec<_> = sim.metrics().phases().iter().map(|p| p.label.clone()).collect();
-        assert_eq!(labels, vec!["phase1-trees", "phase2-gather", "phase3-broadcast"]);
+        let driver = MemoryDriver::new(MemoryGossip::paper(n));
+        let labels = ["phase1-trees", "phase2-gather", "phase3-broadcast"];
+        assert_stepping_matches_run_driver(driver, &g, 16, &labels);
     }
 
     #[test]
     fn without_failures_nothing_is_lost() {
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(10);
-        let outcome = MemoryGossip::paper(n).with_trees_helper(3).run_with_failures(&g, 11, 0);
+        let outcome = MemoryGossip::paper(n)
+            .with_trees_helper(3)
+            .run_with_failures_on(&mut Simulation::new(&g, 11), 0);
         assert_eq!(outcome.lost_messages(), 0);
         assert_eq!(outcome.failed_nodes(), 0);
         assert!(outcome.completed());
@@ -766,8 +705,9 @@ mod tests {
         let n = 1024;
         let g = ErdosRenyi::paper_density(n).generate(12);
         let failures = 50;
-        let outcome =
-            MemoryGossip::paper(n).with_trees_helper(3).run_with_failures(&g, 13, failures);
+        let outcome = MemoryGossip::paper(n)
+            .with_trees_helper(3)
+            .run_with_failures_on(&mut Simulation::new(&g, 13), failures);
         assert_eq!(outcome.failed_nodes(), failures);
         let ratio = outcome.additional_loss_ratio().unwrap();
         assert!(ratio < 4.0, "loss ratio {ratio:.2} implausibly high");
@@ -783,11 +723,11 @@ mod tests {
         for seed in 0..3u64 {
             one_tree_losses += MemoryGossip::paper(n)
                 .with_trees_helper(1)
-                .run_with_failures(&g, 20 + seed, failures)
+                .run_with_failures_on(&mut Simulation::new(&g, 20 + seed), failures)
                 .lost_messages();
             three_tree_losses += MemoryGossip::paper(n)
                 .with_trees_helper(3)
-                .run_with_failures(&g, 20 + seed, failures)
+                .run_with_failures_on(&mut Simulation::new(&g, 20 + seed), failures)
                 .lost_messages();
         }
         assert!(

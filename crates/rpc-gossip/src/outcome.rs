@@ -1,6 +1,6 @@
-//! Result types returned by every gossiping algorithm.
+//! The accounting summary of one gossiping run.
 
-use rpc_engine::{Accounting, Metrics, PhaseSnapshot};
+use rpc_engine::{Accounting, Engine, Metrics, PhaseSnapshot};
 
 /// The outcome of one gossiping run: completion status plus the full
 /// communication accounting.
@@ -41,6 +41,13 @@ impl GossipOutcome {
             failed_nodes,
             phases: metrics.phases().to_vec(),
         }
+    }
+
+    /// The outcome of a failure-free run that has ended on `sim`: gossip
+    /// completion, fully informed nodes and the engine's metrics, no losses.
+    /// Read this after [`crate::run_driver`] returns.
+    pub fn from_engine<E: Engine>(sim: &E) -> Self {
+        Self::from_metrics(sim.metrics(), sim.gossip_complete(), sim.fully_informed_count(), 0, 0)
     }
 
     /// Number of nodes in the network.

@@ -10,17 +10,9 @@
 //! convention under which the paper's observation "the number of messages per
 //! node corresponds to the number of rounds" holds.
 
-use rpc_engine::{Engine, Simulation, Transfer};
+use rpc_engine::{Engine, Transfer};
 
-use crate::config::PushPullConfig;
-use crate::outcome::GossipOutcome;
-use crate::runner::{GossipAlgorithm, ProtocolDriver, StepStatus};
-
-/// The simple Push-Pull gossiping protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PushPullGossip {
-    config: PushPullConfig,
-}
+use crate::runner::{ProtocolDriver, StepStatus};
 
 /// One push-pull round: every node opens a channel to a random neighbour,
 /// pushes over it and pulls back. Shared by [`PushPullDriver`] and the
@@ -48,10 +40,10 @@ pub(crate) fn push_pull_round<E: Engine>(sim: &mut E, transfers: &mut Vec<Transf
 /// "round after round until every node knows every message" — so the driver
 /// keeps producing rounds up to its round budget and reports the natural
 /// termination through [`ProtocolDriver::finished`] (gossip completion).
-/// Callers that want to gossip *past* completion (e.g. a scenario round
-/// budget, which specifies a workload of exactly `r` rounds) may simply keep
-/// stepping: rounds past completion still draw randomness and send packets,
-/// exactly like the block loop under a round budget always has.
+/// [`crate::run_driver`] stops it there. Callers that want to gossip *past*
+/// completion (e.g. a scenario round budget, which specifies a workload of
+/// exactly `r` rounds) may simply keep stepping: rounds past completion still
+/// draw randomness and send packets.
 #[derive(Clone, Debug)]
 pub struct PushPullDriver {
     max_rounds: usize,
@@ -63,11 +55,6 @@ impl PushPullDriver {
     /// A driver that produces at most `max_rounds` rounds.
     pub fn new(max_rounds: usize) -> Self {
         Self { max_rounds, steps: 0, transfers: Vec::new() }
-    }
-
-    /// Rounds executed so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// The transfer list of the most recently executed round, in schedule
@@ -100,76 +87,20 @@ impl ProtocolDriver for PushPullDriver {
     }
 }
 
-impl PushPullGossip {
-    /// Push-Pull with an explicit configuration.
-    pub fn new(config: PushPullConfig) -> Self {
-        Self { config }
-    }
-
-    /// Runs the protocol on an existing simulation (used by other algorithms
-    /// that end with a push-pull phase). Returns the number of executed steps.
-    pub fn run_until_complete<E: Engine>(sim: &mut E, max_rounds: usize) -> usize {
-        Self::run_until(sim, max_rounds, |sim: &E| sim.gossip_complete())
-    }
-
-    /// Runs push-pull rounds until `stop` returns `true` (checked before each
-    /// round) or `max_rounds` rounds have executed, whichever comes first.
-    /// Returns the number of executed steps. This is the step-granular entry
-    /// point callers use for external stop predicates (the closure is `FnMut`
-    /// so callers can record per-round traces while evaluating it); it is a
-    /// thin loop over [`PushPullDriver::step`].
-    ///
-    /// Generic over [`Engine`], so the same round body drives the packed
-    /// production simulation and the unpacked reference oracle.
-    pub fn run_until<E: Engine>(
-        sim: &mut E,
-        max_rounds: usize,
-        mut stop: impl FnMut(&E) -> bool,
-    ) -> usize {
-        let mut driver = PushPullDriver::new(max_rounds);
-        while !stop(sim) {
-            if driver.step(sim) == StepStatus::Done {
-                break;
-            }
-        }
-        driver.steps()
-    }
-
-    /// Runs the protocol to completion on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point).
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        Self::run_until_complete(sim, self.config.max_rounds);
-        sim.metrics_mut().mark_phase("push-pull");
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
-    }
-}
-
-impl GossipAlgorithm for PushPullGossip {
-    fn name(&self) -> &'static str {
-        "push-pull"
-    }
-
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{assert_stepping_matches_run_driver, run_fresh};
     use rpc_engine::Accounting;
     use rpc_graphs::prelude::*;
+
+    /// Safety cap on rounds; push-pull completes in Θ(log n) rounds.
+    const MAX_ROUNDS: usize = 10_000;
 
     #[test]
     fn completes_on_complete_graph() {
         let g = CompleteGraph::new(128).generate(0);
-        let outcome = PushPullGossip::default().run(&g, 1);
+        let outcome = run_fresh(PushPullDriver::new(MAX_ROUNDS), &g, 1);
         assert!(outcome.completed());
         assert_eq!(outcome.fully_informed(), 128);
     }
@@ -177,7 +108,7 @@ mod tests {
     #[test]
     fn completes_on_paper_density_random_graph() {
         let g = ErdosRenyi::paper_density(512).generate(2);
-        let outcome = PushPullGossip::default().run(&g, 3);
+        let outcome = run_fresh(PushPullDriver::new(MAX_ROUNDS), &g, 3);
         assert!(outcome.completed());
     }
 
@@ -187,7 +118,7 @@ mod tests {
         // round, the number of messages per node corresponds to the number of
         // rounds".
         let g = CompleteGraph::new(256).generate(0);
-        let outcome = PushPullGossip::default().run(&g, 5);
+        let outcome = run_fresh(PushPullDriver::new(MAX_ROUNDS), &g, 5);
         let per_node = outcome.messages_per_node(Accounting::PerChannelExchange);
         assert!(
             (per_node - outcome.rounds() as f64).abs() < 1e-9,
@@ -206,7 +137,7 @@ mod tests {
         // allow a generous constant.
         let n = 1024;
         let g = ErdosRenyi::paper_density(n).generate(7);
-        let outcome = PushPullGossip::default().run(&g, 11);
+        let outcome = run_fresh(PushPullDriver::new(MAX_ROUNDS), &g, 11);
         let rounds = outcome.rounds() as f64;
         let log = (n as f64).log2();
         assert!(rounds >= log / 2.0, "suspiciously few rounds: {rounds}");
@@ -216,15 +147,21 @@ mod tests {
     #[test]
     fn respects_round_cap() {
         let g = ring(64); // far too sparse to finish in 3 rounds
-        let outcome = PushPullGossip::new(PushPullConfig { max_rounds: 3 }).run(&g, 1);
+        let outcome = run_fresh(PushPullDriver::new(3), &g, 1);
         assert!(!outcome.completed());
         assert_eq!(outcome.rounds(), 3);
     }
 
     #[test]
+    fn stepping_with_queries_matches_run_driver() {
+        let g = ErdosRenyi::paper_density(256).generate(15);
+        assert_stepping_matches_run_driver(PushPullDriver::new(MAX_ROUNDS), &g, 16, &[]);
+    }
+
+    #[test]
     fn single_node_graph_finishes_immediately() {
         let g = CompleteGraph::new(1).generate(0);
-        let outcome = PushPullGossip::default().run(&g, 1);
+        let outcome = run_fresh(PushPullDriver::new(MAX_ROUNDS), &g, 1);
         assert!(outcome.completed());
         assert_eq!(outcome.rounds(), 0);
         assert_eq!(outcome.total_packets(), 0);

@@ -1,18 +1,17 @@
-//! The protocol-runner interface: [`GossipAlgorithm`] (run-to-completion over
-//! any graph) and [`ProtocolDriver`] (resumable, one synchronous round per
-//! [`ProtocolDriver::step`] call).
+//! The protocol-runner interface: [`ProtocolDriver`] (resumable, one
+//! synchronous round per [`ProtocolDriver::step`] call) and [`run_driver`],
+//! the one loop that runs any driver to its natural termination.
 //!
-//! Experiments and benchmarks sweep over [`GossipAlgorithm`] trait objects;
-//! the scenario engine drives protocols through [`ProtocolDriver`] so that
-//! round budgets, coverage thresholds and per-round traces work uniformly for
-//! every algorithm — including the phase-based ones, whose phase loops become
-//! explicit resumable states in their drivers.
+//! Every protocol has exactly one execution path: its driver. The scenario
+//! engine steps drivers itself so that round budgets, coverage thresholds and
+//! per-round traces work uniformly for every algorithm — including the
+//! phase-based ones, whose phase loops are explicit resumable states in their
+//! drivers — and everything else (tests, benchmarks, examples) runs a driver
+//! to completion through [`run_driver`].
 
-use rpc_engine::{Engine, Simulation};
-use rpc_graphs::Graph;
+use rpc_engine::Engine;
 
 use crate::leader_election::ElectionSummary;
-use crate::outcome::GossipOutcome;
 
 /// What one [`ProtocolDriver::step`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,24 +38,24 @@ pub enum StepStatus {
 ///
 /// # RNG-draw preservation contract
 ///
-/// Stepping a driver to exhaustion must consume randomness in **exactly** the
-/// same order as the protocol's block entry point (`run_on_engine`), which is
-/// itself implemented as a thin loop over `step`. Consequently, for a fixed
-/// `(graph, seed)` the sequence of per-round engine states observed through
-/// `step` is bit-identical to the block run — this is what lets the
-/// packed-vs-unpacked trace-equivalence suite extend to stepped runs, and
-/// what makes a stepped scenario outcome equal to the legacy block outcome.
-/// Drivers must not draw from the engine outside of `step` (lazy
-/// initialisation, such as the memory model's leader draw, happens inside
-/// the first `step` call).
+/// A driver draws randomness only inside `step`, and only through the
+/// engine (lazy initialisation, such as the memory model's leader draw,
+/// happens inside the first `step` call). Consequently, for a fixed
+/// `(graph, seed)` the sequence of per-round engine states is the same
+/// whether the driver is stepped by the scenario executor, with read-only
+/// queries between rounds, or run bare through [`run_driver`] — this is what
+/// lets the packed-vs-unpacked trace-equivalence suite cover every caller,
+/// and what makes a scenario outcome under `rpc-scenarios`'
+/// `StopRule::Complete` equal to a bare `run_driver` on a fresh engine.
 pub trait ProtocolDriver {
-    /// Short name used in reports, matching [`GossipAlgorithm::name`].
+    /// Short name used in reports (e.g. `"push-pull"`, `"fast-gossiping"`,
+    /// `"memory"`).
     fn name(&self) -> &'static str;
 
-    /// Whether the protocol's *natural termination* has been reached: gossip
-    /// completion for push-pull (whose round loop is otherwise unbounded),
-    /// schedule exhaustion for the phase-based protocols. Read-only; never
-    /// draws randomness.
+    /// Whether the protocol's *natural termination* has been reached:
+    /// completion for push-pull and the broadcasts (whose round loops are
+    /// otherwise unbounded), schedule exhaustion for the phase-based
+    /// protocols. Read-only; never draws randomness.
     fn finished<E: Engine>(&self, sim: &E) -> bool;
 
     /// Executes one synchronous round, or returns [`StepStatus::Done`]
@@ -81,65 +80,88 @@ pub trait ProtocolDriver {
     }
 }
 
-/// Steps `driver` until its schedule is exhausted and returns the number of
-/// rounds executed. The phase-based `run_on_engine` implementations reduce to
-/// this loop; push-pull's reduces to [`crate::PushPullGossip::run_until`],
-/// the same loop with an external stop predicate (its natural termination —
-/// gossip completion — is a property of the simulation, not of the driver's
-/// schedule).
+/// Runs `driver` to its natural termination — until
+/// [`ProtocolDriver::finished`] holds or the driver's schedule is exhausted —
+/// and returns the number of rounds executed. This is the single
+/// run-to-completion loop of the workspace: push-pull and the broadcast
+/// drivers stop at completion, the phase-based drivers (which only report
+/// `finished` at schedule end) run their full schedule.
 pub fn run_driver<D: ProtocolDriver, E: Engine>(driver: &mut D, sim: &mut E) -> u64 {
     let mut rounds = 0;
-    while let StepStatus::Running = driver.step(sim) {
+    while !driver.finished(sim) && driver.step(sim) == StepStatus::Running {
         rounds += 1;
     }
     rounds
 }
 
-/// A gossiping protocol that can be run on any graph with a given seed.
-pub trait GossipAlgorithm {
-    /// Short name used in reports (e.g. `"push-pull"`, `"fast-gossiping"`,
-    /// `"memory"`).
-    fn name(&self) -> &'static str;
+/// Runs `driver` to completion on a fresh, loss- and churn-free engine over
+/// `graph` and returns its accounting — the test shorthand for "run this
+/// protocol once".
+#[cfg(test)]
+pub(crate) fn run_fresh<D: ProtocolDriver>(
+    mut driver: D,
+    graph: &rpc_graphs::Graph,
+    seed: u64,
+) -> crate::GossipOutcome {
+    let mut sim = rpc_engine::Simulation::new(graph, seed);
+    run_driver(&mut driver, &mut sim);
+    crate::GossipOutcome::from_engine(&sim)
+}
 
-    /// Runs the protocol as one uninterruptible block on a caller-prepared
-    /// simulation and returns the communication accounting.
-    ///
-    /// **Test-only oracle.** Production harnesses (the scenario executor, the
-    /// sweep engine) drive protocols one round at a time through
-    /// [`ProtocolDriver`], which supports stop rules, round budgets and
-    /// tracing; the block run exists as the reference the stepped path is
-    /// equivalence-tested against (`stepped_complete_runs_equal_block_run_on_engine`
-    /// in `rpc-scenarios`), and for one-off measurements outside the scenario
-    /// stack. The caller may still configure loss, churn/crash schedules or a
-    /// worker-thread count — the engine primitives apply them.
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome;
-
-    /// Runs the protocol to completion on `graph`, deterministically in
-    /// `seed`, and returns the communication accounting. Equivalent to
-    /// [`Self::run_on`] with a freshly created, loss- and churn-free
-    /// simulation — and like it a **test-only oracle**; scenario-driven
-    /// stepping is the production path.
-    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome {
-        let mut sim = Simulation::new(graph, seed);
-        self.run_on(&mut sim)
+/// Asserts that stepping `driver` by hand, with the read-only queries a stop
+/// rule performs between rounds, reproduces a bare [`run_driver`] on a fresh
+/// engine: same rounds, packets, exchanges, completion and phase markers
+/// (`labels`, in order).
+#[cfg(test)]
+pub(crate) fn assert_stepping_matches_run_driver<D: ProtocolDriver + Clone>(
+    driver: D,
+    graph: &rpc_graphs::Graph,
+    seed: u64,
+    labels: &[&str],
+) {
+    let bare = run_fresh(driver.clone(), graph, seed);
+    let mut sim = rpc_engine::Simulation::new(graph, seed);
+    let mut stepped = driver;
+    let mut rounds = 0u64;
+    while !stepped.finished(&sim) {
+        let _ = sim.fully_informed_count();
+        let _ = sim.informed_count_of(0);
+        match stepped.step(&mut sim) {
+            StepStatus::Done => break,
+            StepStatus::Running => rounds += 1,
+        }
     }
+    let name = stepped.name();
+    assert_eq!(rounds, bare.rounds(), "{name}");
+    assert_eq!(sim.metrics().rounds(), bare.rounds(), "{name}");
+    assert_eq!(sim.metrics().total_packets(), bare.total_packets(), "{name}");
+    assert_eq!(sim.metrics().total_exchanges(), bare.total_exchanges(), "{name}");
+    assert!(sim.gossip_complete() && bare.completed(), "{name}");
+    let marked: Vec<_> = sim.metrics().phases().iter().map(|p| p.label.as_str()).collect();
+    assert_eq!(marked, labels, "{name}");
+    let bare_marked: Vec<_> = bare.phases().iter().map(|p| p.label.as_str()).collect();
+    assert_eq!(bare_marked, labels, "{name}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast_gossiping::FastGossiping;
-    use crate::memory_model::MemoryGossip;
-    use crate::push_pull::PushPullGossip;
-    use rpc_engine::Accounting;
+    use crate::fast_gossiping::{FastGossiping, FastGossipingDriver};
+    use crate::memory_model::{MemoryDriver, MemoryGossip};
+    use crate::outcome::GossipOutcome;
+    use crate::push_pull::PushPullDriver;
+    use rpc_engine::{Accounting, Simulation};
     use rpc_graphs::prelude::*;
 
-    /// All three algorithms compared in Figure 1, as trait objects.
-    fn all_algorithms(n: usize) -> Vec<Box<dyn GossipAlgorithm>> {
+    /// All three algorithms compared in Figure 1, each run to completion.
+    fn run_all(n: usize, graph: &Graph, seed: u64) -> Vec<(&'static str, GossipOutcome)> {
         vec![
-            Box::new(PushPullGossip::default()),
-            Box::new(FastGossiping::paper(n)),
-            Box::new(MemoryGossip::paper(n)),
+            ("push-pull", run_fresh(PushPullDriver::new(10_000), graph, seed)),
+            (
+                "fast-gossiping",
+                run_fresh(FastGossipingDriver::new(FastGossiping::paper(n), n), graph, seed),
+            ),
+            ("memory", run_fresh(MemoryDriver::new(MemoryGossip::paper(n)), graph, seed)),
         ]
     }
 
@@ -147,12 +169,11 @@ mod tests {
     fn every_algorithm_completes_on_a_small_random_graph() {
         let n = 256;
         let graph = ErdosRenyi::paper_density(n).generate(3);
-        for algorithm in all_algorithms(n) {
-            let outcome = algorithm.run(&graph, 7);
-            assert!(outcome.completed(), "{} did not complete gossiping", algorithm.name());
-            assert_eq!(outcome.fully_informed(), n, "{}", algorithm.name());
+        for (name, outcome) in run_all(n, &graph, 7) {
+            assert!(outcome.completed(), "{name} did not complete gossiping");
+            assert_eq!(outcome.fully_informed(), n, "{name}");
             assert!(outcome.total_packets() > 0);
-            assert!(outcome.messages_per_node(Accounting::PerPacket) > 0.0, "{}", algorithm.name());
+            assert!(outcome.messages_per_node(Accounting::PerPacket) > 0.0, "{name}");
         }
     }
 
@@ -160,11 +181,28 @@ mod tests {
     fn runs_are_deterministic_in_the_seed() {
         let n = 128;
         let graph = ErdosRenyi::paper_density(n).generate(1);
-        for algorithm in all_algorithms(n) {
-            let a = algorithm.run(&graph, 11);
-            let b = algorithm.run(&graph, 11);
-            assert_eq!(a.total_packets(), b.total_packets(), "{}", algorithm.name());
-            assert_eq!(a.rounds(), b.rounds(), "{}", algorithm.name());
+        for ((name, a), (_, b)) in run_all(n, &graph, 11).iter().zip(&run_all(n, &graph, 11)) {
+            assert_eq!(a.total_packets(), b.total_packets(), "{name}");
+            assert_eq!(a.rounds(), b.rounds(), "{name}");
         }
+    }
+
+    #[test]
+    fn run_driver_stops_push_pull_at_completion() {
+        let graph = CompleteGraph::new(64).generate(0);
+        let mut sim = Simulation::new(&graph, 2);
+        let mut driver = PushPullDriver::new(10_000);
+        let rounds = run_driver(&mut driver, &mut sim);
+        assert!(sim.gossip_complete());
+        assert_eq!(rounds, sim.metrics().rounds());
+        // Not one round past completion.
+        let mut by_hand = Simulation::new(&graph, 2);
+        let mut hand_driver = PushPullDriver::new(10_000);
+        while !by_hand.gossip_complete() {
+            hand_driver.step(&mut by_hand);
+        }
+        assert_eq!(rounds, by_hand.metrics().rounds());
+        // Completion is the natural termination: a second call runs nothing.
+        assert_eq!(run_driver(&mut driver, &mut sim), 0);
     }
 }

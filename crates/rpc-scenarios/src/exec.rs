@@ -16,9 +16,10 @@
 //! The executor evaluates the stop rule between any two rounds, records one
 //! [`RoundTrace`] row per evaluation, enforces the scenario's `max_rounds`
 //! cap uniformly, and reports *why* the run ended in
-//! [`ScenarioOutcome::stopped_by`]. Because each driver consumes randomness
-//! exactly like its block `run_on_engine` entry point, a stepped run under
-//! [`StopRule::Complete`] is bit-identical to the legacy block run.
+//! [`ScenarioOutcome::stopped_by`]. A driver draws randomness only inside
+//! its own steps, so a stepped run under [`StopRule::Complete`] is
+//! bit-identical to a bare [`rpc_gossip::run_driver`] over the same graph and
+//! engine seed.
 //!
 //! The execution core is generic over [`rpc_engine::Engine`], so the same
 //! scheduling, driving and measuring code runs on two engines:
@@ -83,9 +84,9 @@ const STREAM_RUN: u64 = 0x0375_6e21;
 
 /// The engine seeds a scenario replication derives from `seed`:
 /// `(graph_seed, run_seed)`. Exposed so harnesses that compare a stepped
-/// [`run_scenario`] against a block `run_on_engine` (the `scenario_step`
-/// bench, equivalence tests) can run the block side on **exactly** the graph
-/// and draws the stepped side uses.
+/// [`run_scenario`] against a bare [`rpc_gossip::run_driver`] (the
+/// `scenario_step` bench, equivalence tests) can run the bare side on
+/// **exactly** the graph and draws the stepped side uses.
 pub fn scenario_engine_seeds(seed: u64) -> (u64, u64) {
     (derive_seed(seed, STREAM_GRAPH, 0), derive_seed(seed, STREAM_RUN, 0))
 }
@@ -576,9 +577,8 @@ fn new_unpacked<'g>(scenario: &Scenario, graph: &'g Graph, seed: u64) -> Unpacke
 }
 
 /// The engine-generic execution core shared by every entry point above.
-/// Instantiates the protocol's resumable driver with the same paper constants
-/// [`ProtocolSpec::build`] uses — protocol dispatch ends here — and hands it
-/// to [`run_prepared_core`].
+/// Instantiates the protocol's resumable driver with its paper constants —
+/// protocol dispatch ends here — and hands it to [`run_prepared_core`].
 fn run_scenario_core<E: Engine, O: Observer>(
     scenario: &Scenario,
     sim: &mut E,
@@ -839,8 +839,8 @@ impl RumorWatch {
 ///
 /// Under a [`StopRule::Rounds`] budget the driver is stepped *past* gossip
 /// completion when necessary — a round budget specifies a workload of exactly
-/// `r` rounds, and those rounds draw randomness and send packets exactly like
-/// the block loop under a budget always has.
+/// `r` rounds, and those rounds draw randomness and send packets like any
+/// other.
 fn drive<E: Engine, D: ProtocolDriver, O: Observer>(
     scenario: &Scenario,
     sim: &mut E,
@@ -1218,6 +1218,7 @@ mod tests {
     use super::*;
     use crate::spec::{InjectionEntry, TopologySpec};
     use proptest::prelude::*;
+    use rpc_gossip::run_driver;
 
     fn er(n: usize) -> TopologySpec {
         TopologySpec::ErdosRenyiPaper { n }
@@ -1756,12 +1757,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The unified stepper under [`StopRule::Complete`] must reproduce
-        /// the legacy block `run_on_engine` outcome bit for bit, for every
-        /// protocol: same graph, same engine seed, same rounds, packets and
-        /// exchanges.
+        /// The unified stepper under [`StopRule::Complete`] — stop-rule
+        /// checks, coverage counters and the rumor watch between rounds —
+        /// must reproduce a bare `run_driver` on a fresh engine bit for bit,
+        /// for every protocol: same graph, same engine seed, same rounds,
+        /// packets and exchanges.
         #[test]
-        fn stepped_complete_runs_equal_block_run_on_engine(
+        fn stepped_complete_runs_equal_a_bare_run_driver(
             n in 48usize..128,
             protocol_pick in 0u8..3,
             seed in 0u64..10_000,
@@ -1771,18 +1773,27 @@ mod tests {
                 1 => ProtocolSpec::FastGossiping,
                 _ => ProtocolSpec::Memory,
             };
-            let s = Scenario::builder("step-vs-block", er(n)).protocol(protocol).build().unwrap();
+            let s = Scenario::builder("step-vs-bare", er(n)).protocol(protocol).build().unwrap();
             let stepped = run_scenario(&s, seed, 1);
 
-            // The block run on an identically seeded engine over the same graph.
+            // A bare run on an identically seeded engine over the same graph.
             let graph = s.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
             let mut sim = Simulation::new(&graph, derive_seed(seed, STREAM_RUN, 0));
-            let block = s.protocol.run_on_engine(n, &mut sim);
+            let rounds = match protocol {
+                ProtocolSpec::PushPull => {
+                    run_driver(&mut PushPullDriver::new(s.max_rounds as usize), &mut sim)
+                }
+                ProtocolSpec::FastGossiping => {
+                    run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim)
+                }
+                _ => run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), &mut sim),
+            };
 
-            prop_assert_eq!(stepped.rounds, block.rounds());
-            prop_assert_eq!(stepped.total_packets, block.total_packets());
-            prop_assert_eq!(stepped.total_exchanges, block.total_exchanges());
-            prop_assert_eq!(stepped.completed, block.completed());
+            prop_assert_eq!(stepped.rounds, rounds);
+            prop_assert_eq!(stepped.rounds, sim.metrics().rounds());
+            prop_assert_eq!(stepped.total_packets, sim.metrics().total_packets());
+            prop_assert_eq!(stepped.total_exchanges, sim.metrics().total_exchanges());
+            prop_assert_eq!(stepped.completed, sim.gossip_complete());
         }
     }
 }

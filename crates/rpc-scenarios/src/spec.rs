@@ -122,7 +122,6 @@
 
 use std::fmt;
 
-use rpc_gossip::{FastGossiping, GossipAlgorithm, MemoryGossip, PushPullGossip};
 use rpc_graphs::log2n;
 use rpc_graphs::prelude::*;
 
@@ -238,8 +237,8 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Report label, matching [`GossipAlgorithm::name`] for the gossiping
-    /// protocols and the driver name for the rest.
+    /// Report label, matching the protocol's
+    /// [`rpc_gossip::ProtocolDriver::name`].
     pub fn name(&self) -> &'static str {
         match self {
             ProtocolSpec::PushPull => "push-pull",
@@ -267,52 +266,6 @@ impl ProtocolSpec {
     /// back to).
     pub fn is_broadcast(&self) -> bool {
         matches!(self, ProtocolSpec::BroadcastPush | ProtocolSpec::BroadcastPushPull)
-    }
-
-    /// Instantiates the algorithm with its paper constants for `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// For the broadcast and leader-election protocols, which have no
-    /// [`GossipAlgorithm`] block entry point — they exist only as
-    /// [`rpc_gossip::ProtocolDriver`]s and are always dispatched through the
-    /// scenario executor.
-    pub fn build(&self, n: usize) -> Box<dyn GossipAlgorithm> {
-        match self {
-            ProtocolSpec::PushPull => Box::new(PushPullGossip::default()),
-            ProtocolSpec::FastGossiping => Box::new(FastGossiping::paper(n)),
-            ProtocolSpec::Memory => Box::new(MemoryGossip::paper(n)),
-            other => panic!(
-                "{} has no block GossipAlgorithm entry point; run it through \
-                 the scenario executor's driver dispatch",
-                other.name()
-            ),
-        }
-    }
-
-    /// Runs the algorithm (instantiated exactly as [`Self::build`] does) on
-    /// any [`rpc_engine::Engine`] — the engine-generic entry point the
-    /// stepped-vs-block equivalence suite uses, kept next to `build` so the
-    /// protocol-to-configuration mapping exists in one place.
-    ///
-    /// # Panics
-    ///
-    /// For the broadcast and leader-election protocols, like [`Self::build`].
-    pub fn run_on_engine<E: rpc_engine::Engine>(
-        &self,
-        n: usize,
-        sim: &mut E,
-    ) -> rpc_gossip::GossipOutcome {
-        match self {
-            ProtocolSpec::PushPull => PushPullGossip::default().run_on_engine(sim),
-            ProtocolSpec::FastGossiping => FastGossiping::paper(n).run_on_engine(sim),
-            ProtocolSpec::Memory => MemoryGossip::paper(n).run_on_engine(sim),
-            other => panic!(
-                "{} has no block run_on_engine entry point; run it through \
-                 the scenario executor's driver dispatch",
-                other.name()
-            ),
-        }
     }
 }
 
@@ -1934,13 +1887,6 @@ mod tests {
         assert!(capped_mem.to_text().contains("max-rounds = 9"));
         assert!(capped_mem.to_text().contains("stop = rounds:9"));
         assert_eq!(Scenario::parse_str(&capped_mem.to_text()).unwrap(), capped_mem);
-    }
-
-    #[test]
-    fn protocol_spec_builds_matching_algorithms() {
-        for spec in [ProtocolSpec::PushPull, ProtocolSpec::FastGossiping, ProtocolSpec::Memory] {
-            assert_eq!(spec.build(128).name(), spec.name());
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
         "failed", "lost (healthy)", "loss ratio", "packets per node"
     );
     for failures in [0usize, 16, 64, 256, 1024] {
-        let outcome = algorithm.run_with_failures(&graph, 5, failures);
+        let outcome = algorithm.run_with_failures_on(&mut Simulation::new(&graph, 5), failures);
         println!(
             "{:>10} {:>16} {:>12} {:>18.2}",
             failures,

@@ -25,19 +25,24 @@ fn main() {
     let measurements: Vec<u32> = (0..peers).map(|_| rng.gen_range(10..1000)).collect();
 
     // Step 1: leader election (Algorithm 3).
-    let election = LeaderElection::paper(peers).run(&overlay, 3);
+    let mut sim = Simulation::new(&overlay, 3);
+    let mut driver = LeaderElectionDriver::paper(peers);
+    let rounds = run_driver(&mut driver, &mut sim);
+    let election = driver.election_summary().expect("election finished");
+    let election_packets = sim.metrics().total_packets();
     let leader = election.leader.expect("election failed");
     println!(
-        "leader election: {} candidates, leader = peer {leader}, {:.2} packets/peer, {} rounds",
+        "leader election: {} candidates, leader = peer {leader}, {:.2} packets/peer, {rounds} rounds",
         election.candidates,
-        election.messages_per_node(),
-        election.rounds
+        election_packets as f64 / election.alive_nodes as f64,
     );
     assert!(election.succeeded());
 
     // Step 2: gossiping with the elected leader (Algorithm 2). After the run
     // every peer knows every original message, i.e. every measurement.
-    let gossip = MemoryGossip::paper(peers).with_leader(leader).run(&overlay, 4);
+    let mut sim = Simulation::new(&overlay, 4);
+    run_driver(&mut MemoryDriver::new(MemoryGossip::paper(peers).with_leader(leader)), &mut sim);
+    let gossip = GossipOutcome::from_engine(&sim);
     println!(
         "memory-model gossiping: {} rounds, {:.2} packets/peer, complete = {}",
         gossip.rounds(),
@@ -50,7 +55,7 @@ fn main() {
     let sum: u64 = measurements.iter().map(|&x| x as u64).sum();
     println!("aggregates available at every peer: min = {min}, sum = {sum}");
 
-    let total_packets = election.total_packets + gossip.total_packets();
+    let total_packets = election_packets + gossip.total_packets();
     println!(
         "total packets for election + aggregation: {:.2} per peer \
          (vs ~{:.0} for log n rounds of naive flooding)",

@@ -7,6 +7,22 @@
 
 use gossip_density::prelude::*;
 
+/// Runs `driver` to completion on a fresh engine over `graph` and prints one
+/// table row.
+fn report<D: ProtocolDriver>(mut driver: D, graph: &Graph) {
+    let mut sim = Simulation::new(graph, 7);
+    run_driver(&mut driver, &mut sim);
+    let outcome = GossipOutcome::from_engine(&sim);
+    println!(
+        "{:<16} {:>8} {:>12.2} {:>13.2} {:>10}",
+        driver.name(),
+        outcome.rounds(),
+        outcome.messages_per_node(Accounting::PerChannelExchange),
+        outcome.messages_per_node(Accounting::PerPacket),
+        outcome.completed()
+    );
+}
+
 fn main() {
     // The paper's network model: an Erdős–Rényi graph with p = log² n / n.
     let n = 1 << 12;
@@ -17,27 +33,13 @@ fn main() {
         graph.num_edges()
     );
 
-    let algorithms: Vec<Box<dyn GossipAlgorithm>> = vec![
-        Box::new(PushPullGossip::default()),
-        Box::new(FastGossiping::paper(n)),
-        Box::new(MemoryGossip::paper(n)),
-    ];
-
     println!(
         "{:<16} {:>8} {:>12} {:>13} {:>10}",
         "algorithm", "rounds", "msgs/node", "packets/node", "complete"
     );
-    for algorithm in &algorithms {
-        let outcome = algorithm.run(&graph, 7);
-        println!(
-            "{:<16} {:>8} {:>12.2} {:>13.2} {:>10}",
-            algorithm.name(),
-            outcome.rounds(),
-            outcome.messages_per_node(Accounting::PerChannelExchange),
-            outcome.messages_per_node(Accounting::PerPacket),
-            outcome.completed()
-        );
-    }
+    report(PushPullDriver::new(10_000), &graph);
+    report(FastGossipingDriver::new(FastGossiping::paper(n), n), &graph);
+    report(MemoryDriver::new(MemoryGossip::paper(n)), &graph);
 
     println!(
         "\nExpected shape (Figure 1): memory ≪ fast-gossiping < push-pull, with the\n\

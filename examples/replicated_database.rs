@@ -14,6 +14,13 @@
 
 use gossip_density::prelude::*;
 
+/// Runs `driver` to completion on a fresh engine over `overlay`.
+fn run<D: ProtocolDriver>(mut driver: D, overlay: &Graph) -> GossipOutcome {
+    let mut sim = Simulation::new(overlay, 1);
+    run_driver(&mut driver, &mut sim);
+    GossipOutcome::from_engine(&sim)
+}
+
 fn main() {
     let replicas = 1 << 13;
     println!("cluster of {replicas} replicas, one pending update per replica\n");
@@ -21,8 +28,8 @@ fn main() {
     // A replication overlay in which every replica knows ~log² n peers.
     let overlay = ErdosRenyi::paper_density(replicas).generate(2024);
 
-    let anti_entropy = PushPullGossip::default().run(&overlay, 1);
-    let fast = FastGossiping::paper(replicas).run(&overlay, 1);
+    let anti_entropy = run(PushPullDriver::new(10_000), &overlay);
+    let fast = run(FastGossipingDriver::new(FastGossiping::paper(replicas), replicas), &overlay);
 
     let report = |label: &str, outcome: &GossipOutcome| {
         println!("{label}");

@@ -29,8 +29,10 @@
 //!
 //! // G(n, p) with the paper's density p = log^2 n / n.
 //! let graph = ErdosRenyi::paper_density(1 << 10).generate(7);
-//! let outcome = PushPullGossip::default().run(&graph, 7);
-//! assert!(outcome.completed());
+//! let mut sim = Simulation::new(&graph, 7);
+//! // Push-pull round after round until every node knows every message.
+//! run_driver(&mut PushPullDriver::new(10_000), &mut sim);
+//! assert!(GossipOutcome::from_engine(&sim).completed());
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -171,7 +171,9 @@ proptest! {
     #[test]
     fn push_pull_completes_on_connected_topologies(dim in 2u32..7, seed in any::<u64>()) {
         let g = topology::hypercube(dim);
-        let outcome = PushPullGossip::default().run(&g, seed);
+        let mut sim = Simulation::new(&g, seed);
+        run_driver(&mut PushPullDriver::new(10_000), &mut sim);
+        let outcome = GossipOutcome::from_engine(&sim);
         prop_assert!(outcome.completed());
         let per_node = outcome.messages_per_node(Accounting::PerChannelExchange);
         prop_assert!((per_node - outcome.rounds() as f64).abs() < 1e-9);
@@ -183,7 +185,9 @@ proptest! {
     fn fast_gossiping_phase_packets_sum_to_total(seed in any::<u64>()) {
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(seed);
-        let outcome = FastGossiping::paper(n).run(&g, seed);
+        let mut sim = Simulation::new(&g, seed);
+        run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim);
+        let outcome = GossipOutcome::from_engine(&sim);
         let total: u64 = ["phase1-distribution", "phase2-random-walks", "phase3-broadcast"]
             .iter()
             .map(|label| outcome.packets_in_phase(label).unwrap_or(0))
